@@ -24,6 +24,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.dcn import flowsim
 from repro.dcn.flowsim import (
     FlowSimulator,
     generate_flows,
@@ -45,27 +46,16 @@ from repro.faults.ensemble import chaos_ensemble, chaos_ensemble_serial
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import ResultCache, SweepEngine
 from repro.serve import FabricService, ServeConfig, ServeWorkload
-from repro.serve.drill import build_fault_timeline, drill_config, run_serve_drill
 from repro.serve.requests import RequestKind
-from repro.faults.injector import FaultInjector
 
 
 class CasePair(NamedTuple):
-    """One built workload: thunks to time plus the parity check.
-
-    ``ref_scale`` declares that the reference thunk runs a problem
-    ``ref_scale`` times smaller than the vectorized one (a reference too
-    slow to run at full size); the harness multiplies the measured
-    reference time by it before computing the speedup, and the case's
-    parity check is responsible for pinning equality at the reference's
-    own scale (the extrapolation check).
-    """
+    """One built workload: thunks to time plus the parity check."""
 
     vectorized: Callable[[], object]
     reference: Callable[[], object]
     parity: Callable[[object, object], float]
     size: Dict[str, object]
-    ref_scale: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -335,16 +325,20 @@ def _build_flowsim_100k(smoke: bool, jobs: Optional[int] = None) -> CasePair:
             np.array([r.finish_s for r in vec]), np.array([r.finish_s for r in ref])
         )
 
-    def _sim() -> FlowSimulator:
-        # crossover=0 pins the full-solve baseline to the vectorized
-        # matrix kernel (its fastest honest configuration at this scale;
-        # the dict kernel would copy a multi-thousand-entry capacity
-        # dict per event).
-        return FlowSimulator(fabric, routing, seed=7, dict_kernel_crossover=0)
+    def _full_solve():
+        # A zero fallback threshold makes every event that touches an
+        # active flow one full vectorized solve: the per-event baseline
+        # the incremental frontier walk is measured against.
+        saved = flowsim._INCREMENTAL_MAX_FRONTIER
+        flowsim._INCREMENTAL_MAX_FRONTIER = 0
+        try:
+            return FlowSimulator(fabric, routing, seed=7).run(flows)
+        finally:
+            flowsim._INCREMENTAL_MAX_FRONTIER = saved
 
     return CasePair(
-        vectorized=lambda: _sim().run(flows),
-        reference=lambda: _sim().run_full_solve(flows),
+        vectorized=lambda: FlowSimulator(fabric, routing, seed=7).run(flows),
+        reference=_full_solve,
         parity=_records_parity,
         size={
             "flows": num_flows,
@@ -539,76 +533,6 @@ def _build_serve_soak(smoke: bool, jobs: Optional[int] = None) -> CasePair:
 
 
 # --------------------------------------------------------------------- #
-# Million-request serving drill: fast calendar + streaming sink vs the
-# per-request reference loop
-# --------------------------------------------------------------------- #
-
-_SERVE_1M_TENANTS = 2_048
-_SERVE_1M_PARITY_PRIMARIES = 10_000
-
-
-def _serve_1m_fast(num_primaries: int) -> Dict[str, object]:
-    return run_serve_drill(
-        seed=7,
-        smoke=True,
-        num_primaries=num_primaries,
-        num_tenants=_SERVE_1M_TENANTS,
-        streaming=True,
-    )["summary"]
-
-
-def _serve_1m_reference() -> Dict[str, object]:
-    """The pre-calendar loop (``run_reference``) over the parity-scale
-    prefix of the same drill: same workload, faults, and config."""
-    config = drill_config(seed=7, num_tenants=_SERVE_1M_TENANTS)
-    workload = ServeWorkload(
-        seed=7, rate_per_s=1_200.0, num_tenants=_SERVE_1M_TENANTS
-    )
-    requests = workload.generate(_SERVE_1M_PARITY_PRIMARIES)
-    injector = FaultInjector(seed=7)
-    build_fault_timeline(
-        injector, workload.horizon_s(_SERVE_1M_PARITY_PRIMARIES)
-    )
-    report = FabricService(config).run_reference(requests, faults=injector)
-    return {
-        "outcomes_digest": report.outcomes_digest(),
-        "state_digest": report.state_digest,
-        "commits": len(report.commit_log),
-    }
-
-
-def _build_serve_1m(smoke: bool, jobs: Optional[int] = None) -> CasePair:
-    del jobs  # one core by design: the tentpole target is single-core
-    full_primaries = (
-        _SERVE_1M_PARITY_PRIMARIES if smoke else 1_000_000
-    )
-    ref_scale = full_primaries / _SERVE_1M_PARITY_PRIMARIES
-
-    def _parity(vec: object, ref: object) -> float:
-        assert isinstance(ref, dict)
-        if ref_scale != 1.0:
-            # Extrapolation check: the timed vectorized run is bigger
-            # than the reference can afford, so digest equality is
-            # re-pinned at the reference's own scale.
-            vec = _serve_1m_fast(_SERVE_1M_PARITY_PRIMARIES)
-        assert isinstance(vec, dict)
-        same = all(vec[k] == ref[k] for k in ref)
-        return 0.0 if same else float("inf")
-
-    return CasePair(
-        vectorized=lambda: _serve_1m_fast(full_primaries),
-        reference=_serve_1m_reference,
-        parity=_parity,
-        size={
-            "primaries": full_primaries,
-            "tenants": _SERVE_1M_TENANTS,
-            "reference_primaries": _SERVE_1M_PARITY_PRIMARIES,
-        },
-        ref_scale=ref_scale,
-    )
-
-
-# --------------------------------------------------------------------- #
 # Metrics hot path: bound series handles vs per-call name resolution
 # --------------------------------------------------------------------- #
 
@@ -659,6 +583,5 @@ CASES: Tuple[PerfCase, ...] = (
     ),
     PerfCase("sweep_cache_warm", "result cache", 5.0, _build_cache_warm),
     PerfCase("serve_soak", "serving brownout", 1.2, _build_serve_soak),
-    PerfCase("serve_1m", "\u00a712 serving drill", 5.0, _build_serve_1m),
     PerfCase("metrics_hot_path", "obs hot loops", 1.5, _build_metrics_hot_path),
 )

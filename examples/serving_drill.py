@@ -78,8 +78,7 @@ def main() -> None:
           f"{summary['batches_flushed']} coalesced update batches, "
           f"{summary['telemetry_cache_hits']} cached telemetry answers, "
           f"{summary['maintenance_deferred']} maintenance ticks deferred")
-    print(f"  recovery    {summary['recoveries']} controller recoveries "
-          f"replayed from the WAL")
+    print(f"  recovery    {summary['recoveries']} controller recoveries")
 
     # ------------------------------------------------------------------ #
     # Who got hurt: sheds concentrate on the cheap service classes.

@@ -28,10 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from scipy.stats import binom
-
 from repro.core.errors import ConfigurationError
 from repro.tpu.cube import HOSTS_PER_CUBE
+
+# scipy.stats (~70 MB resident) is imported inside the functions that
+# take binomial tails: the fault, serving and drill layers import this
+# package and never call them.
 
 #: Paper's overall system availability target.
 DEFAULT_TARGET = 0.97
@@ -58,6 +60,8 @@ def spares_for_slice(
     cubes_per_slice: int, cube_avail: float, target: float = DEFAULT_TARGET
 ) -> int:
     """Smallest dedicated spare count meeting the slice availability target."""
+    from scipy.stats import binom
+
     _check_slice(cubes_per_slice, POD_CUBES)
     p_fail = 1.0 - cube_avail
     for spares in range(0, POD_CUBES + 1):
@@ -75,6 +79,8 @@ def pooled_holdback(
 ) -> int:
     """Smallest pod-level holdback covering failures with the target
     confidence (used for single-cube slices on either fabric)."""
+    from scipy.stats import binom
+
     p_fail = 1.0 - cube_avail
     for h in range(0, pod_cubes + 1):
         if float(binom.cdf(h, pod_cubes, p_fail)) >= target:
@@ -106,6 +112,8 @@ def static_goodput(
     pod_cubes: int = POD_CUBES,
 ) -> float:
     """Goodput of the static fabric (Fig 15b dashed)."""
+    from scipy.stats import binom
+
     _check_slice(cubes_per_slice, pod_cubes)
     a_cube = cube_availability(server_availability)
     if cubes_per_slice == 1:

@@ -173,6 +173,11 @@ def availability_grid(
     through the engine.  Bit-identical to :func:`availability_grid_serial`
     for any worker count or chunk size.
     """
+    # The tasks take binomial tails, which :mod:`repro.availability.goodput`
+    # imports lazily; load scipy.stats here so forked pool workers inherit
+    # it instead of each importing it again.
+    import scipy.stats  # noqa: F401
+
     engine = engine if engine is not None else SweepEngine(workers=1)
     tasks = _grid_tasks(server_availabilities, cubes_per_slice, trials, seed, target)
     tag = cache_tag if engine.cache is not None else None

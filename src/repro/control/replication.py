@@ -476,9 +476,11 @@ class ReplicationGroup:
         leader.log.append(entry)
         acked = self._ship(leader, now_s)
         if 1 + len(acked) < self.quorum:
-            # The entry stays as an uncommitted suffix of this node's
-            # log; a later adoption from a higher-epoch leader truncates
-            # it.  It is never acknowledged, so it can never be "lost".
+            # The client is told this commit failed, so no replica may
+            # keep it: a surviving copy would win a later election on
+            # log completeness and commit behind the client's back.
+            for n in (leader, *acked):
+                del n.log[entry.seq:]
             raise QuorumError(
                 f"commit at epoch {leader.epoch}: {1 + len(acked)}/{self.quorum} acks"
             )

@@ -10,12 +10,14 @@ eliminates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-import networkx as nx
 
 from repro.core.errors import ConfigurationError
 from repro.dcn.blocks import AggregationBlock
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -55,6 +57,8 @@ class ClosFabric:
 
     def graph(self) -> nx.Graph:
         """AB <-> spine connectivity with per-edge capacity in Gb/s."""
+        import networkx as nx  # only graph export needs it
+
         g = nx.Graph()
         for ab in self.blocks:
             g.add_node(f"ab-{ab.index}", kind="ab")

@@ -7,26 +7,21 @@ standard fluid approximation for TCP-like sharing.  Comparing FCTs on an
 engineered vs a uniform mesh reproduces the §4.2 "10% improvement in
 flow completion time" result.
 
-Three implementations of the event loop coexist, fastest first:
+Two implementations of the event loop coexist:
 
 - :meth:`FlowSimulator.run` -- the **incremental water-filling engine**.
   Per-link active counts, the per-flow rate vector, and a completion
   calendar persist across events; an arrival/departure re-solves only
   the connected component of the flow/link interaction graph reachable
   from the touched links (the affected-subgraph trick), falling back to
-  a full solve when that frontier exceeds a threshold.  Max-min
-  progressive filling decomposes exactly over components -- the per-link
-  subtraction sequence is identical whether a component is solved alone
-  or interleaved in a global solve -- so the incremental allocations are
-  bit-exact against the full per-event solve.
-- :meth:`FlowSimulator.run_full_solve` -- the previous vectorized path:
-  one :meth:`_IncidenceSystem.fill_rates` pass per event over a
-  persistent link x flow incidence structure (with a dict-kernel
-  fallback below :attr:`FlowSimulator.dict_kernel_crossover` active
-  flows).  Kept as the perf-regression baseline the incremental engine
-  is measured against.
+  one vectorized :meth:`_IncidenceSystem.fill_rates` solve of the whole
+  active set when that frontier exceeds :data:`_INCREMENTAL_MAX_FRONTIER`
+  flows.  Max-min progressive filling decomposes exactly over
+  components -- the per-link subtraction sequence is identical whether a
+  component is solved alone or interleaved in a global solve -- so the
+  incremental allocations are bit-exact against the full per-event solve.
 - :meth:`FlowSimulator.run_reference` -- the original per-event dict
-  loop: the bit-exact oracle for both of the above.
+  loop: the bit-exact oracle for the above.
 
 The allocation kernels follow the same pattern:
 :func:`max_min_rates` is the incidence-matrix water-filler and
@@ -50,25 +45,18 @@ Link = Tuple[int, int]
 
 #: A per-event allocation probe: ``probe(now_s, {flow_id: rate_gbps})``
 #: fired once per event iteration with the allocation for the current
-#: active set.  The incremental/full/reference parity suites use it to
-#: pin allocations at every event boundary.
+#: active set.  The engine/reference parity suite uses it to pin
+#: allocations at every event boundary.
 RateProbe = Callable[[float, Dict[int, float]], None]
 
-#: Below this many concurrently active flows the full-solve path falls
-#: back to the dict kernel: NumPy per-call overhead only pays off once
-#: the incidence arrays have some width.  Both kernels produce identical
-#: allocations (the property suite pins them together), so the crossover
-#: is purely a performance knob -- now a :class:`FlowSimulator` field so
-#: perf cases can sweep it without monkeypatching.
-_DICT_KERNEL_CROSSOVER = 32
-
-#: Default incremental-engine fallback threshold: when the affected
-#: component (the "dirty set") reachable from an event's touched links
-#: exceeds this many flows, the engine stops walking and re-solves the
-#: whole active set with :meth:`_IncidenceSystem.fill_rates` instead.
+#: Incremental-engine fallback threshold: when the affected component
+#: (the "dirty set") reachable from an event's touched links exceeds
+#: this many flows, the engine stops walking and re-solves the whole
+#: active set with :meth:`_IncidenceSystem.fill_rates` instead.
 #: Allocations are identical either way; this bounds the Python frontier
-#: walk so pathological all-connected workloads degrade gracefully to
-#: the vectorized full solve.
+#: walk so dense, all-connected workloads degrade gracefully to the
+#: vectorized full solve.  Read at every :meth:`FlowSimulator.run` call,
+#: so tests and the perf harness can force fallbacks by patching it.
 _INCREMENTAL_MAX_FRONTIER = 96
 
 #: Relative half-width of the calendar's pop re-evaluation window.  Heap
@@ -297,14 +285,7 @@ class FlowSimulator:
             highest-weight routed path; ``"wcmp"`` hashes each flow onto
             one of the pair's routed paths with probability proportional
             to the routed weight (flow-level weighted-cost multipath).
-        dict_kernel_crossover: active-flow count below which
-            :meth:`run_full_solve` uses the dict allocation kernel
-            instead of the incidence-matrix kernel (perf knob; both
-            kernels allocate identically).
-        incremental_max_frontier: dirty-set size (in flows) above which
-            :meth:`run` abandons the component walk for one event and
-            re-solves the whole active set (perf knob; allocations are
-            identical either way).
+        seed: seeds the WCMP path draws.
         obs: optional :class:`repro.obs.Observability` bundle; the
             incremental engine lands frontier sizes, dirty fractions,
             full-solve fallbacks, and calendar traffic on it.
@@ -314,8 +295,6 @@ class FlowSimulator:
     routing: RoutingSolution
     path_policy: str = "primary"
     seed: int = 0
-    dict_kernel_crossover: int = _DICT_KERNEL_CROSSOVER
-    incremental_max_frontier: int = _INCREMENTAL_MAX_FRONTIER
     obs: Optional[object] = None
 
     def __post_init__(self) -> None:
@@ -323,10 +302,6 @@ class FlowSimulator:
             raise ConfigurationError(
                 f"path policy must be 'primary' or 'wcmp', got {self.path_policy!r}"
             )
-        if self.dict_kernel_crossover < 0:
-            raise ConfigurationError("dict_kernel_crossover must be >= 0")
-        if self.incremental_max_frontier < 1:
-            raise ConfigurationError("incremental_max_frontier must be >= 1")
         self._path_rng = np.random.default_rng(self.seed)
         self._obs = resolve_obs(self.obs)
 
@@ -376,10 +351,10 @@ class FlowSimulator:
 
     def _prepare(
         self, flows: Sequence[Flow]
-    ) -> Tuple[Dict[Link, float], Dict[int, List[Link]], List[Flow], List[List[int]], np.ndarray]:
-        """Shared event-loop setup: capacities, routes, arrival order,
-        and per-flow link-index columns (plain lists; callers lift to
-        arrays as needed)."""
+    ) -> Tuple[List[Flow], List[List[int]], np.ndarray]:
+        """Event-loop setup: arrival order, per-flow link-index columns
+        (plain lists; callers lift to arrays as needed), and the
+        capacity of each indexed link."""
         if not flows:
             raise ConfigurationError("need at least one flow")
         capacity = self._capacities()
@@ -391,7 +366,7 @@ class FlowSimulator:
         cols = [
             [link_index[link] for link in paths[f.flow_id]] for f in ordered
         ]
-        return capacity, paths, ordered, cols, cap_vector
+        return ordered, cols, cap_vector
 
     # ------------------------------------------------------------------ #
     # The incremental water-filling engine
@@ -411,9 +386,9 @@ class FlowSimulator:
           remaining volume persist across events;
         - an arrival/departure walks the affected component and re-runs
           progressive filling on it alone (max-min allocations decompose
-          exactly over components, so this is bit-identical to the full
-          per-event solve of :meth:`run_full_solve`);
-        - when the walk exceeds :attr:`incremental_max_frontier` flows
+          exactly over components, so this is bit-identical to a full
+          per-event solve);
+        - when the walk exceeds :data:`_INCREMENTAL_MAX_FRONTIER` flows
           it falls back to one vectorized full solve for that event;
         - projected completions live in an indexed heap with lazy
           invalidation (absolute finish times are invariant while a
@@ -424,9 +399,9 @@ class FlowSimulator:
 
         ``rate_probe`` (if given) fires once per event iteration with
         the current allocation; the property suite uses it to pin
-        incremental == full-solve == reference at every event boundary.
+        the engine to :meth:`run_reference` at every event boundary.
         """
-        _, _, ordered, cols_py, cap_vector = self._prepare(flows)
+        ordered, cols_py, cap_vector = self._prepare(flows)
         num_flows = len(ordered)
         num_links = int(cap_vector.size)
         system = _IncidenceSystem(
@@ -466,7 +441,7 @@ class FlowSimulator:
         frontier_hist = metrics.histogram("flowsim.frontier.flows")
         dirty_hist = metrics.histogram("flowsim.dirty_fraction")
 
-        max_frontier = self.incremental_max_frontier
+        max_frontier = _INCREMENTAL_MAX_FRONTIER
         cursor = 0
         num_active = 0
         now = 0.0
@@ -676,105 +651,6 @@ class FlowSimulator:
                     FlowRecord(flow=ordered[w], start_s=float(start[w]), finish_s=now)
                 )
                 reallocate(w)
-        return records
-
-    # ------------------------------------------------------------------ #
-    # The per-event full-solve path (perf baseline)
-    # ------------------------------------------------------------------ #
-
-    def run_full_solve(
-        self, flows: Sequence[Flow], rate_probe: Optional[RateProbe] = None
-    ) -> List[FlowRecord]:
-        """The previous vectorized event loop: one full allocation solve
-        per event.
-
-        The link x flow incidence structure is built once and carried
-        across events: arrivals and completions only flip bits in the
-        active-flow mask, the next arrival is an index cursor into the
-        arrival-sorted flow array, and each event's max-min allocation is
-        one :meth:`_IncidenceSystem.fill_rates` pass (or the dict kernel
-        below :attr:`dict_kernel_crossover` active flows).  Kept as the
-        measured baseline the incremental :meth:`run` is compared
-        against; property-tested against :meth:`run_reference`.
-        """
-        capacity, paths, ordered, cols_py, cap_vector = self._prepare(flows)
-        num_flows = len(ordered)
-        system = _IncidenceSystem(
-            [np.asarray(c, dtype=np.int32) for c in cols_py], cap_vector
-        )
-
-        links_by_idx = [paths[f.flow_id] for f in ordered]
-        active = np.zeros(num_flows, dtype=bool)
-        remaining = np.zeros(num_flows)
-        start = np.zeros(num_flows)
-        arrivals = np.array([f.arrival_s for f in ordered])
-        cursor = 0
-        num_active = 0
-        now = 0.0
-        records: List[FlowRecord] = []
-
-        while cursor < num_flows or num_active > 0:
-            if 0 < num_active <= self.dict_kernel_crossover:
-                indices = np.flatnonzero(active)
-                rate_map = max_min_rates_reference(
-                    {int(i): links_by_idx[int(i)] for i in indices}, capacity
-                )
-                rates = np.zeros(num_flows)
-                for i, rate in rate_map.items():
-                    rates[i] = rate
-            else:
-                rates = system.fill_rates(active)
-            if rate_probe is not None:
-                rate_probe(
-                    now,
-                    {
-                        ordered[int(i)].flow_id: float(rates[int(i)])
-                        for i in np.flatnonzero(active)
-                    },
-                )
-            next_arrival = arrivals[cursor] if cursor < num_flows else float("inf")
-            # Earliest projected completion among active flows with a
-            # positive rate; ties resolve to the lowest (earliest-arrived)
-            # index, matching the reference loop's insertion order.
-            flowing = np.flatnonzero(active & (rates > 0.0))
-            finish_idx = -1
-            next_finish = float("inf")
-            if flowing.size:
-                t = now + remaining[flowing] / rates[flowing]
-                k = int(np.argmin(t))
-                finish_idx = int(flowing[k])
-                next_finish = float(t[k])
-            # The cursor guard matters when every active flow is starved
-            # at rate 0 with no arrivals left: both candidate times are
-            # inf, and only the completion branch can raise the deadlock.
-            if cursor < num_flows and next_arrival <= next_finish:
-                elapsed = next_arrival - now
-                # Inactive flows all carry rate 0.0, so the drain is one
-                # unmasked vector op.
-                remaining -= rates * elapsed
-                now = float(next_arrival)
-                active[cursor] = True
-                remaining[cursor] = ordered[cursor].size_gbit
-                start[cursor] = now
-                cursor += 1
-                num_active += 1
-            else:
-                if finish_idx < 0:
-                    raise ConfigurationError(
-                        "deadlock: active flows with zero rate and no arrivals"
-                    )
-                elapsed = next_finish - now
-                remaining -= rates * elapsed
-                now = next_finish
-                active[finish_idx] = False
-                num_active -= 1
-                records.append(
-                    FlowRecord(
-                        flow=ordered[finish_idx],
-                        start_s=float(start[finish_idx]),
-                        finish_s=now,
-                    )
-                )
         return records
 
     def run_reference(

@@ -10,13 +10,15 @@ via :mod:`repro.dcn.topology_engineering` for long-lived patterns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.core.errors import ConfigurationError, TopologyError
 from repro.dcn.blocks import AggregationBlock
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 TrunkMatrix = np.ndarray  # integer trunks[i, j], symmetric, zero diagonal
 
@@ -127,6 +129,8 @@ class SpineFreeFabric:
 
     def graph(self) -> nx.Graph:
         """AB-level connectivity graph with trunk counts and capacity."""
+        import networkx as nx  # only graph export needs it
+
         g = nx.Graph()
         for ab in self.blocks:
             g.add_node(f"ab-{ab.index}", kind="ab")

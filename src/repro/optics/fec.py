@@ -23,9 +23,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import binom
 
 from repro.core.errors import ConfigurationError
+
+# scipy.stats (~70 MB resident) is imported inside the methods that take
+# binomial tails, so importing the optics package stays light.
 
 #: Pre-FEC BER threshold of the standalone KP4 code (paper: 2e-4).
 KP4_BER_THRESHOLD = 2e-4
@@ -67,6 +69,8 @@ class Kp4OuterCode:
 
     def codeword_failure_rate(self, input_ber: float) -> float:
         """Probability a codeword has more than t symbol errors."""
+        from scipy.stats import binom
+
         p = self.symbol_error_rate(input_ber)
         return float(binom.sf(self.t_symbols, self.n_symbols, p))
 
@@ -84,6 +88,8 @@ class Kp4OuterCode:
         p = self.symbol_error_rate(input_ber)
         if p == 0.0:
             return 0.0
+        from scipy.stats import binom
+
         n, t = self.n_symbols, self.t_symbols
         # E[j * 1(j > t)] via the binomial identity E[j 1(j>t)] = n p P(X' >= t)
         # where X' ~ Binom(n-1, p).
@@ -125,6 +131,8 @@ class InnerSoftFec:
 
     def block_failure_rate(self, input_ber: float) -> float:
         """Probability a block exceeds the soft-decoding radius."""
+        from scipy.stats import binom
+
         _check_ber(input_ber)
         return float(binom.sf(self.t_eff, self.block_bits, input_ber))
 
@@ -137,6 +145,8 @@ class InnerSoftFec:
         _check_ber(input_ber)
         if input_ber == 0.0:
             return 0.0
+        from scipy.stats import binom
+
         n, t = self.block_bits, self.t_eff
         expected_bad = n * input_ber * float(binom.sf(t - 1, n - 1, input_ber))
         return expected_bad / n
@@ -150,6 +160,8 @@ class InnerSoftFec:
         bers = np.asarray(input_bers, dtype=float)
         if np.any((bers < 0.0) | (bers > 1.0)):
             raise ConfigurationError("BER must lie in [0, 1]")
+        from scipy.stats import binom
+
         n, t = self.block_bits, self.t_eff
         expected_bad = n * bers * binom.sf(t - 1, n - 1, bers)
         return np.where(bers == 0.0, 0.0, expected_bad / n)

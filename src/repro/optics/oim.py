@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.signal import iirnotch, lfilter
 
 from repro.core.errors import ConfigurationError
 
@@ -95,6 +94,9 @@ class OimDsp:
         nyquist = sample_rate_hz / 2.0
         if not 0.0 < offset_hz < nyquist:
             return samples.copy(), offset_hz
+        # Imported here: scipy.signal is large and only this filter uses it.
+        from scipy.signal import iirnotch, lfilter
+
         b, a = iirnotch(offset_hz / nyquist, Q=self.notch_q)
         return lfilter(b, a, samples), offset_hz
 

@@ -8,8 +8,8 @@ the level does not flap at a threshold:
 
 - **level 0 (normal)**: everything fresh and immediate;
 - **level 1 (brownout)**: defer background maintenance (defrag ticks)
-  and *coalesce* traffic-matrix updates into one batched controller
-  transaction per window -- N updates cost one journaled transaction;
+  and *coalesce* traffic-matrix updates into one batched commit per
+  window -- N updates cost one commit;
 - **level 2 (deep brownout)**: additionally serve telemetry queries
   from a bounded-staleness cache instead of recomputing state digests.
 

@@ -313,7 +313,7 @@ def run_serve_drill_sharded(
     """The overload drill partitioned into tenant cells over a pool.
 
     Tenants hash into ``num_cells`` fixed cells (``tenant_idx %
-    num_cells``); each cell runs a full fast-path service over its
+    num_cells``); each cell runs a full service over its
     requests with a cell-scaled config (see :func:`shard_cell_config`)
     on a :class:`~repro.parallel.SweepEngine` worker.  The workload is
     generated once as flat columns and shm-shipped, so a million-request

@@ -127,7 +127,8 @@ class TenantRequest:
             raise ConfigurationError("arrival must be non-negative")
         if self.deadline_s <= self.arrival_s:
             raise ConfigurationError("deadline must be after arrival")
-        object.__setattr__(self, "params", tuple(sorted(self.params)))
+        if type(self.params) is not tuple or len(self.params) > 1:
+            object.__setattr__(self, "params", tuple(sorted(self.params)))
 
     @property
     def priority(self) -> int:

@@ -17,9 +17,8 @@ exactly one of them (the *partition invariant*):
 3. **deadline propagation**: a request that cannot finish by its
    deadline is never started, and an attempt that cannot fit is never
    launched -> ``TIMEOUT`` (a timed-out request never commits);
-4. **retry budget + circuit breaker** around the
-   :class:`~repro.control.journal.DurableController` -> ``ERROR``
-   (fast-failed or budget-capped, with the reason recorded);
+4. **retry budget + circuit breaker** around the commit plane ->
+   ``ERROR`` (fast-failed or budget-capped, with the reason recorded);
 5. everything else commits and completes -> ``OK``.
 
 Under pressure the :class:`~repro.serve.brownout.BrownoutController`
@@ -36,12 +35,20 @@ identical per-request outcomes (``outcomes_digest``) and the same
 commit log; replaying that log serially against a fresh manager
 (:func:`replay_committed`) must reproduce ``state_digest()`` exactly.
 
+**Commit planes.**  Every mutation is one
+:func:`~repro.control.replication.apply_entry` payload.  A solo
+controller applies it straight to its fabric (the *delta plane*: no
+log, an incrementally maintained state digest checked against the full
+one at the end of every run); a replicated controller commits it
+through a :class:`~repro.control.replication.ReplicationGroup`.  The
+plane is fixed at construction; the loop around it is the same.
+
 **Tenant -> fabric mapping.**  Tenant *i* owns north port
 ``i // num_traffic_ocses`` on traffic OCS ``i % num_traffic_ocses``,
 with two private south ports (bank 0/1) -- retargets are collision-free
 by construction, so any interleaving of committed updates is
-serializable.  Slices get circuits on a dedicated slice OCS and cubes
-from a :class:`~repro.scheduler.allocator.ReconfigurableAllocator`.
+serializable.  Slices get circuits on a dedicated slice OCS (the lowest
+free port) and cubes from a free-cube count.
 """
 
 from __future__ import annotations
@@ -56,9 +63,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.control import journal
-from repro.control.journal import DurableController
-from repro.control.replication import ReplicationGroup
+from repro.control.replication import ReplicationGroup, apply_entry
 from repro.core.errors import (
     ConfigurationError,
     QuorumError,
@@ -71,7 +76,6 @@ from repro.faults.events import FaultKind
 from repro.faults.injector import FaultInjector
 from repro.faults.resilience import RetryPolicy
 from repro.obs import NULL_OBS, Observability
-from repro.scheduler.allocator import ReconfigurableAllocator
 from repro.scheduler.requests import JobRequest
 from repro.serve.admission import FairAdmission
 from repro.serve.breaker import BreakerState, CircuitBreaker
@@ -89,7 +93,6 @@ from repro.serve.requests import (
 )
 from repro.serve.retry import RetryBudget
 from repro.serve.sink import FullRecordSink, StreamAggregates, StreamingRecordSink
-from repro.tpu.superpod import Superpod
 
 
 @dataclass(frozen=True)
@@ -147,10 +150,10 @@ class ServeConfig:
     maintenance_interval_s: float = 5.0
     telemetry_ttl_s: float = 0.5
 
-    # Replicated control plane.  1 = the PR-6 single DurableController
-    # (byte-identical behavior); >= 3 routes every mutation through a
-    # lease-held, epoch-fenced ReplicationGroup and turns controller
-    # loss into leader failover instead of refusal.
+    # Replicated control plane.  1 = a single controller on the delta
+    # commit plane; >= 3 routes every mutation through a lease-held,
+    # epoch-fenced ReplicationGroup and turns controller loss into
+    # leader failover instead of refusal.
     num_controller_replicas: int = 1
     replica_lease_s: float = 2.0
 
@@ -409,15 +412,13 @@ class ServeReport:
 
 
 class _CubeLedger:
-    """Count-twin of :class:`ReconfigurableAllocator` for the fast path.
+    """Free-cube count for slice admission.
 
-    The serve drill never fails cubes, and the allocator's verdict is
-    purely ``healthy free cubes >= job.cubes`` -- so a free-count ledger
-    gives bit-identical admit/refuse decisions without per-cube
-    bookkeeping or slice programming (the Superpod sits outside
-    ``state_digest()``, so nothing downstream can observe the
-    difference; the equality is pinned by the fast-vs-reference
-    property tests).
+    The serve drill never fails cubes, so a slice fits iff ``job.cubes``
+    cubes are free -- the verdict a
+    :class:`~repro.scheduler.allocator.ReconfigurableAllocator` gives,
+    without per-cube placement (which sits outside ``state_digest()``,
+    so nothing downstream could observe it).
     """
 
     __slots__ = ("free",)
@@ -447,12 +448,13 @@ class _DigestCache:
     ops change, one link at a time) is kept as per-link fragments in a
     bisect-maintained name order, so an alloc or release re-joins
     strings instead of re-sorting and re-serializing every link.
-    Equality with the real digest is pinned by
-    ``tests/serve/test_fastpath.py``.
+    :meth:`FabricService.run` checks it against the full digest at the
+    end of every solo run.
     """
 
     __slots__ = ("_manager", "_fragments", "_order", "_by_key", "_dirty",
-                 "_link_fragments", "_link_names", "_links_json", "_digest")
+                 "_link_fragments", "_link_switch", "_link_names",
+                 "_links_json", "_digest")
 
     def __init__(self, manager: FabricManager) -> None:
         self._manager = manager
@@ -464,43 +466,46 @@ class _DigestCache:
         self._fragments: Dict[str, str] = {}
         self._dirty = set(self._order)
         self._link_fragments: Dict[str, str] = {}
-        self._link_names: List[str] = []
-        self._links_json: Optional[str] = None
-        self._digest: Optional[str] = None
-        self.resync_links()
-
-    def invalidate_switch(self, ocs: OcsId) -> None:
-        self._dirty.add(str(ocs.index))
-        self._digest = None
-
-    def resync_links(self) -> None:
-        """Full rebuild of the link fragments from the manager (init, or
-        after any link change not routed through add/remove)."""
-        self._link_fragments = {
-            str(link.link_id): json.dumps(
-                [str(link.link_id), link.ocs.index, link.north, link.south],
-                separators=(",", ":"),
-            )
-            for link in self._manager.links
-        }
+        self._link_switch: Dict[str, str] = {}
+        for link in manager.links:
+            self._add_link(str(link.link_id), link.ocs.index, link.north, link.south)
         # FabricManager.links sorts by LinkId, which orders by name, so
         # sorted names reproduce the checkpoint's link order exactly.
         self._link_names = sorted(self._link_fragments)
-        self._links_json = None
-        self._digest = None
+        self._links_json: Optional[str] = None
+        self._digest: Optional[str] = None
 
-    def link_added(self, name: str, ocs_index: int, north: int, south: int) -> None:
+    def _add_link(self, name: str, ocs_index: int, north: int, south: int) -> None:
         self._link_fragments[name] = json.dumps(
             [name, ocs_index, north, south], separators=(",", ":")
         )
-        bisect.insort(self._link_names, name)
-        self._links_json = None
-        self._digest = None
+        self._link_switch[name] = str(ocs_index)
 
-    def link_removed(self, name: str) -> None:
-        del self._link_fragments[name]
-        index = bisect.bisect_left(self._link_names, name)
-        del self._link_names[index]
+    def before_commit(self, payload: Dict[str, object]) -> None:
+        """Mark what an ``apply_entry`` payload is about to change.
+
+        Called before the payload is applied, so a retarget that finds
+        its circuit already in place leaves the cached digest valid.
+        """
+        op = payload["op"]
+        if op == "retarget":
+            for ocs_index, north, south in payload["changes"]:
+                key = str(ocs_index)
+                if self._manager.switch(self._by_key[key]).state.south_of(north) != south:
+                    self._dirty.add(key)
+                    self._digest = None
+            return
+        name = str(payload["link"])
+        if op == "establish":
+            self._add_link(
+                name, int(payload["ocs"]), int(payload["north"]), int(payload["south"])
+            )
+            bisect.insort(self._link_names, name)
+            self._dirty.add(self._link_switch[name])
+        else:  # teardown
+            del self._link_fragments[name]
+            del self._link_names[bisect.bisect_left(self._link_names, name)]
+            self._dirty.add(self._link_switch.pop(name))
         self._links_json = None
         self._digest = None
 
@@ -545,10 +550,11 @@ class FabricService:
         #: behavior), a StreamingRecordSink keeps memory flat at 10^6.
         self._sink = sink if sink is not None else FullRecordSink()
         self.replication: Optional[ReplicationGroup] = None
-        self.controller: Optional[DurableController] = None
+        self._solo_manager: Optional[FabricManager] = None
+        self._digest_cache: Optional[_DigestCache] = None
         if config.num_controller_replicas > 1:
             # Each replica owns a full provisioned fabric image; the
-            # leader's is the one reads and port scans see.
+            # leader's is the one reads see.
             self.replication = ReplicationGroup(
                 num_replicas=config.num_controller_replicas,
                 manager_factory=lambda: build_serve_manager(config),
@@ -556,12 +562,11 @@ class FabricService:
                 obs=self.obs,
             )
             self.replication.elect(0, 0.0)
-            self._solo_manager: Optional[FabricManager] = None
+            self._commit = self._commit_replicated
         else:
             self._solo_manager = build_serve_manager(config, obs=self.obs)
-            self.controller = DurableController(
-                manager=self._solo_manager, obs=self.obs
-            )
+            self._digest_cache = _DigestCache(self._solo_manager)
+            self._commit = self._commit_solo
         self.admission = FairAdmission(
             global_rate_per_s=config.global_rate_per_s,
             global_burst=config.global_burst,
@@ -588,9 +593,11 @@ class FabricService:
             max_attempts=config.max_attempts,
             obs=self.obs,
         )
-        self.allocator = ReconfigurableAllocator(
-            Superpod(num_cubes=config.allocator_cubes)
-        )
+        self._cubes = _CubeLedger(config.allocator_cubes)
+        # Slice circuits are always port<->port on the slice OCS, so the
+        # lowest doubly-free port is the min of this heap (range() is
+        # ascending, hence already a valid min-heap).
+        self._free_ports = list(range(config.slice_radix))
         self._retry_policy = RetryPolicy()
         self._rng = np.random.default_rng(config.seed)
 
@@ -623,11 +630,6 @@ class FabricService:
         self._maint_deferred_counter = metrics.handle(
             "counter", "serve.maintenance.deferred"
         )
-
-        # Fast commit plane (engaged by run(), solo mode only).
-        self._fast = False
-        self._digest_cache: Optional[_DigestCache] = None
-        self._free_ports: List[int] = []
 
         # Mutable run state.
         self._commit_log: List[CommitEntry] = []
@@ -663,6 +665,13 @@ class FabricService:
         assert self._solo_manager is not None
         return self._solo_manager
 
+    def _state_digest(self) -> str:
+        """``manager.state_digest()``; solo, only changed switches
+        re-serialize."""
+        if self._digest_cache is not None:
+            return self._digest_cache.digest()
+        return self.manager.state_digest()
+
     # ------------------------------------------------------------------ #
     # Fault wiring
     # ------------------------------------------------------------------ #
@@ -676,19 +685,10 @@ class FabricService:
         injector.subscribe(FaultKind.RPC_TIMEOUT, self._on_rpc_timeout_event)
 
     def _on_controller_event(self, event) -> None:
-        assert self.controller is not None  # single-mode only
+        # Solo mode only.  A commit applies whole or not at all, so a
+        # crash leaves nothing half-programmed: recovery just clears
+        # the outage.
         if event.recovery:
-            if not self._fast:
-                storage = self.controller.wal.storage
-                self.controller, _report = journal.recover(
-                    self.manager, storage, obs=self.obs
-                )
-            # Fast path: recovery is a proven manager-state no-op here
-            # (no half-programmed hardware in the serve sim -- the WAL
-            # replay drives no-op plans, rebuilds identical links, and
-            # idempotency tokens are never reused because apply_fn runs
-            # at most once per request), so a full WAL scan -- quadratic
-            # across a long drill -- buys nothing.  Clear the flag.
             self._controller_down = False
             self._recoveries += 1
             self.obs.metrics.counter("serve.controller.recoveries").inc()
@@ -730,6 +730,14 @@ class FabricService:
         self._latency_family.series(OUTCOME_VALUE[outcome]).observe(
             max(0.0, (finish_s - request.arrival_s) * 1e3)
         )
+
+    def _maintain(self, now_s: float) -> bool:
+        """Run controller maintenance; False when it cannot run now.
+        Replicated, maintenance is the lease heartbeat: renew and catch
+        stragglers up."""
+        if self.replication is not None:
+            return self.replication.heartbeat(now_s)
+        return not self._controller_down
 
     def _observe_pressure(self, now_s: float) -> None:
         # BoundedPriorityQueue.occupancy is already a fill fraction in
@@ -872,47 +880,28 @@ class FabricService:
         south = self.config.south_for_bank(north, int(request.param("bank", 0)))
         return ocs, north, south
 
-    def _apply_retarget(
+    def _commit_solo(self, payload: Dict[str, object], token: str) -> None:
+        # The delta plane: the replicas' own apply step, straight onto
+        # the one fabric -- no log, no quorum, no plan diff.
+        self._digest_cache.before_commit(payload)
+        apply_entry(self._solo_manager, payload)
+
+    def _commit_replicated(self, payload: Dict[str, object], token: str) -> None:
+        self.replication.submit(payload, self._sim_now, token=token)
+
+    def _commit_retarget(
         self, changes: Dict[Tuple[OcsId, int], int], token: str
     ) -> None:
-        if self._fast:
-            # The delta plane: exactly the moves replay_committed makes,
-            # applied straight to switch state -- no target-map copy, no
-            # WAL record, no plan diff.  Equivalence with the journaled
-            # plane is what the replay-digest check proves.
-            for (ocs, north), south in changes.items():
-                state = self.manager.switch(ocs).state
-                if state.south_of(north) != south:
-                    if state.south_of(north) is not None:
-                        state.disconnect(north)
-                    other = state.north_of(south)
-                    if other is not None:
-                        state.disconnect(other)
-                    state.connect(north, south)
-                    self._digest_cache.invalidate_switch(ocs)
-            return
-        if self.replication is not None:
-            payload = {
+        self._commit(
+            {
                 "op": "retarget",
                 "changes": sorted(
                     [ocs.index, north, south]
                     for (ocs, north), south in changes.items()
                 ),
-            }
-            self.replication.submit(payload, self._sim_now, token=token)
-            return
-        assert self.controller is not None
-        targets: Dict[OcsId, object] = {}
-        for (ocs, north), south in changes.items():
-            if ocs not in targets:
-                targets[ocs] = self.manager.switch(ocs).state.copy()
-            tmap = targets[ocs]
-            if tmap.south_of(north) is not None:
-                tmap.disconnect(north)
-            if tmap.north_of(south) is not None:
-                tmap.disconnect(tmap.north_of(south))
-            tmap.connect(north, south)
-        self.controller.reconfigure(targets, token=token)  # type: ignore[arg-type]
+            },
+            token,
+        )
 
     def _dispatch_retarget(self, request: TenantRequest, t: float) -> float:
         ocs, north, south = self._retarget_target(request)
@@ -924,7 +913,7 @@ class FabricService:
         self.budget.deposit()
 
         def apply() -> None:
-            self._apply_retarget({(ocs, north): south}, token=request.request_id)
+            self._commit_retarget({(ocs, north): south}, request.request_id)
             self._commit_log.append(
                 CommitEntry(
                     "retarget", request.request_id, (ocs.index, north, south)
@@ -937,18 +926,6 @@ class FabricService:
         self._record(request, outcome, t_end, attempts=attempts, detail=detail)
         return t_end
 
-    def _free_slice_port(self) -> Optional[int]:
-        if self._fast:
-            # Slice circuits are always port<->port on the slice OCS, so
-            # the reference scan's "lowest doubly-free port" is exactly
-            # the min of the free-port heap.
-            return self._free_ports[0] if self._free_ports else None
-        state = self.manager.switch(self.config.slice_ocs).state
-        for port in range(self.config.slice_radix):
-            if state.south_of(port) is None and state.north_of(port) is None:
-                return port
-        return None
-
     def _dispatch_slice_alloc(self, request: TenantRequest, t: float) -> float:
         cubes = int(request.param("cubes", 1))
         job = JobRequest(
@@ -957,50 +934,25 @@ class FabricService:
             duration_s=3600.0,
             arrival_s=request.arrival_s,
         )
-        port = self._free_slice_port()
-        if port is None or self.allocator.try_allocate(job) is None:
+        port = self._free_ports[0] if self._free_ports else None
+        if port is None or self._cubes.try_allocate(job) is None:
             t_end = t + self.config.noop_ms / 1e3
             self._record(request, Outcome.ERROR, t_end, detail="capacity")
             return t_end
         self.budget.deposit()
 
         def apply() -> None:
-            if self._fast:
-                self.manager.establish(
-                    LinkId(f"sl-{request.request_id}"),
-                    self.config.slice_ocs,
-                    port,
-                    port,
-                )
-                heapq.heappop(self._free_ports)  # == port (peeked above)
-                self._digest_cache.invalidate_switch(self.config.slice_ocs)
-                self._digest_cache.link_added(
-                    f"sl-{request.request_id}",
-                    self.config.slice_ocs.index,
-                    port,
-                    port,
-                )
-            elif self.replication is not None:
-                self.replication.submit(
-                    {
-                        "op": "establish",
-                        "link": f"sl-{request.request_id}",
-                        "ocs": self.config.slice_ocs.index,
-                        "north": port,
-                        "south": port,
-                    },
-                    self._sim_now,
-                    token=request.request_id,
-                )
-            else:
-                assert self.controller is not None
-                self.controller.establish(
-                    LinkId(f"sl-{request.request_id}"),
-                    self.config.slice_ocs,
-                    port,
-                    port,
-                    token=request.request_id,
-                )
+            self._commit(
+                {
+                    "op": "establish",
+                    "link": f"sl-{request.request_id}",
+                    "ocs": self.config.slice_ocs.index,
+                    "north": port,
+                    "south": port,
+                },
+                request.request_id,
+            )
+            heapq.heappop(self._free_ports)  # == port (peeked above)
             self._allocs[request.request_id] = (job, port)
             self._commit_log.append(
                 CommitEntry("slice-alloc", request.request_id, (port,))
@@ -1011,7 +963,7 @@ class FabricService:
         )
         if outcome is not Outcome.OK:
             # The cube reservation never committed downstream; give it back.
-            self.allocator.release(job)
+            self._cubes.release(job)
         self._record(request, outcome, t_end, attempts=attempts, detail=detail)
         return t_end
 
@@ -1028,23 +980,11 @@ class FabricService:
         self.budget.deposit()
 
         def apply() -> None:
-            if self._fast:
-                self.manager.teardown(LinkId(f"sl-{alloc_id}"))
-                heapq.heappush(self._free_ports, port)
-                self._digest_cache.invalidate_switch(self.config.slice_ocs)
-                self._digest_cache.link_removed(f"sl-{alloc_id}")
-            elif self.replication is not None:
-                self.replication.submit(
-                    {"op": "teardown", "link": f"sl-{alloc_id}"},
-                    self._sim_now,
-                    token=request.request_id,
-                )
-            else:
-                assert self.controller is not None
-                self.controller.teardown(
-                    LinkId(f"sl-{alloc_id}"), token=request.request_id
-                )
-            self.allocator.release(job)
+            self._commit(
+                {"op": "teardown", "link": f"sl-{alloc_id}"}, request.request_id
+            )
+            heapq.heappush(self._free_ports, port)
+            self._cubes.release(job)
             del self._allocs[alloc_id]
             self._commit_log.append(
                 CommitEntry("slice-release", request.request_id, ref=alloc_id)
@@ -1068,12 +1008,7 @@ class FabricService:
             t_end = t + self.config.telemetry_cached_ms / 1e3
             self._record(request, Outcome.OK, t_end, detail="cached")
             return t_end
-        if self._fast:
-            # Same digest bytes, but only dirty switches re-serialize.
-            digest = self._digest_cache.digest()
-        else:
-            digest = self.manager.state_digest()
-        self._telemetry_cache = (digest, t)
+        self._telemetry_cache = (self._state_digest(), t)
         self._cache_misses += 1
         self._telemetry_miss_counter.inc()
         t_end = t + self.config.telemetry_fresh_ms / 1e3
@@ -1135,7 +1070,7 @@ class FabricService:
                     ocs, north, south = self._retarget_target(m)
                     changes[(ocs, north)] = south
                 try:
-                    self._apply_retarget(changes, token=token)
+                    self._commit_retarget(changes, token)
                 except ReplicationError:
                     failure = "no-quorum"
                 else:
@@ -1196,44 +1131,10 @@ class FabricService:
     ) -> ServeReport:
         """Serve the whole stream; returns the deterministic report.
 
-        This is the fast path: in solo-controller mode it engages the
-        delta commit plane (direct switch-state moves, count-twin
-        allocator, free-port heap, fragment-cached telemetry digests,
-        O(1) recovery) -- bit-identical to :meth:`run_reference`, which
-        the property tests in ``tests/serve/test_fastpath.py`` pin over
-        arbitrary fault timelines.  Replicated configs always use the
-        journaled plane.  ``requests`` may be any iterable in arrival
-        order (e.g. :meth:`~repro.serve.workload.ServeWorkload.stream`);
-        nothing is pre-materialized.
+        ``requests`` may be any iterable in arrival order (e.g.
+        :meth:`~repro.serve.workload.ServeWorkload.stream`); nothing is
+        pre-materialized.
         """
-        self._fast = self.replication is None
-        if self._fast:
-            self.allocator = _CubeLedger(self.config.allocator_cubes)
-            self._digest_cache = _DigestCache(self.manager)
-            # range() is ascending, hence already a valid min-heap.
-            self._free_ports = list(range(self.config.slice_radix))
-        return self._execute(requests, faults)
-
-    def run_reference(
-        self,
-        requests: Union[Sequence[TenantRequest], Iterable[TenantRequest]],
-        faults: Optional[FaultInjector] = None,
-    ) -> ServeReport:
-        """The journaled oracle plane (the pre-fast-path ``run``).
-
-        Every mutation goes through the DurableController's WAL,
-        recovery replays the journal, telemetry hashes the full fabric
-        -- slow, but independently derived.  The fast path is pinned
-        against this, digest for digest.
-        """
-        self._fast = False
-        return self._execute(requests, faults)
-
-    def _execute(
-        self,
-        requests: Union[Sequence[TenantRequest], Iterable[TenantRequest]],
-        faults: Optional[FaultInjector] = None,
-    ) -> ServeReport:
         if faults is not None:
             self.attach_faults(faults)
 
@@ -1301,28 +1202,10 @@ class FabricService:
                     server_free = self._flush_batch(start)
                 elif what == 2:
                     next_maintenance += maintenance_interval_s
-                    if self.replication is not None:
-                        # Maintenance in replicated mode is the lease
-                        # heartbeat: renew + catch stragglers up.
-                        if self.brownout.defer_maintenance or not self.replication.heartbeat(when):
-                            self._maintenance_deferred += 1
-                            self._maint_deferred_counter.inc()
-                        else:
-                            self._maintenance_runs += 1
-                            self._maint_runs_counter.inc()
-                            server_free = (
-                                max(when, server_free)
-                                + self.config.maintenance_ms / 1e3
-                            )
-                    elif self.brownout.defer_maintenance or self._controller_down:
+                    if self.brownout.defer_maintenance or not self._maintain(when):
                         self._maintenance_deferred += 1
                         self._maint_deferred_counter.inc()
                     else:
-                        if not self._fast:
-                            # The checkpoint compacts the WAL -- state
-                            # the fast plane neither writes nor reads.
-                            assert self.controller is not None
-                            self.controller.checkpoint()
                         self._maintenance_runs += 1
                         self._maint_runs_counter.inc()
                         server_free = (
@@ -1354,6 +1237,14 @@ class FabricService:
                     f"partition violated: {self._offered} offered, "
                     f"{self._sink.total_recorded} terminal outcomes"
                 )
+            state_digest = self.manager.state_digest()
+            if self._digest_cache is not None and (
+                self._digest_cache.digest() != state_digest
+            ):
+                raise ServeError(
+                    f"digest cache {self._digest_cache.digest()[:12]} diverged "
+                    f"from fabric state {state_digest[:12]}"
+                )
             final = self._sink.finalize()
             if isinstance(final, StreamAggregates):
                 records: List[RequestRecord] = []
@@ -1383,38 +1274,29 @@ class FabricService:
                 telemetry_cache_hits=self._cache_hits,
                 telemetry_cache_misses=self._cache_misses,
                 recoveries=self._recoveries,
-                state_digest=self.manager.state_digest(),
+                state_digest=state_digest,
                 faults_digest=(
                     faults.delivered_digest() if faults is not None else ""
                 ),
                 failovers=self._failovers,
-                elections=(
-                    self.replication.elections if self.replication is not None else 0
-                ),
-                fencing_rejections=(
-                    self.replication.fencing_rejections
-                    if self.replication is not None
-                    else 0
-                ),
-                committed_ops_lost=(
-                    self.replication.committed_ops_lost()
-                    if self.replication is not None
-                    else 0
-                ),
-                failover_durations_s=(
-                    tuple(self.replication.failover_durations_s)
-                    if self.replication is not None
-                    else ()
-                ),
-                failover_unavailable_s=(
-                    self.replication.unavailable_s
-                    if self.replication is not None
-                    else 0.0
-                ),
+                **self._replication_accounting(),
             )
             self.obs.metrics.gauge("serve.offered").set(float(report.offered))
             self.obs.metrics.gauge("serve.admitted").set(float(report.admitted))
         return report
+
+    def _replication_accounting(self) -> Dict[str, object]:
+        """The report's replicated-plane fields (defaults when solo)."""
+        group = self.replication
+        if group is None:
+            return {}
+        return {
+            "elections": group.elections,
+            "fencing_rejections": group.fencing_rejections,
+            "committed_ops_lost": group.committed_ops_lost(),
+            "failover_durations_s": tuple(group.failover_durations_s),
+            "failover_unavailable_s": group.unavailable_s,
+        }
 
 
 def replay_committed(config: ServeConfig, commit_log: Sequence[CommitEntry]) -> str:

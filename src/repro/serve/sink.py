@@ -84,7 +84,10 @@ class FullRecordSink:
         return len(self.records)
 
     def finalize(self) -> List[RequestRecord]:
-        return sorted(self.records, key=lambda r: r.request.seq)
+        # Sorted in place: the report takes this list, so the sink and
+        # the report share one list instead of holding two.
+        self.records.sort(key=lambda r: r.request.seq)
+        return self.records
 
 
 @dataclass

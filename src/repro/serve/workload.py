@@ -335,13 +335,19 @@ class ServeWorkload:
         bank_col = cols["bank"]
         cubes_col = cols["cubes"]
         release_deadline = self.deadlines_s[RequestKind.SLICE_RELEASE]
+        # Requests live until their run's report does, so every request
+        # of a tenant shares one name string and equal params share one
+        # tuple.
+        tenant_names = [f"t-{k:03d}" for k in range(self.num_tenants)]
+        bank_params = [(("bank", b),) for b in range(2)]
+        cube_params = {c: (("cubes", c),) for c in self.slice_cubes}
         indices = range(len(t_col)) if rows is None else rows
         out: List[TenantRequest] = []
         for row in indices:
             order = int(order_col[row])
             i = order >> 1
             t = float(t_col[row])
-            tenant = f"t-{int(tenant_col[i]):03d}"
+            tenant = tenant_names[int(tenant_col[i])]
             if order & 1:
                 out.append(
                     TenantRequest(
@@ -358,9 +364,9 @@ class ServeWorkload:
             kind = kinds[int(kind_col[i])]
             params: Tuple[Tuple[str, object], ...]
             if kind in (RequestKind.TRAFFIC_UPDATE, RequestKind.RECONFIGURE):
-                params = (("bank", int(bank_col[i])),)
+                params = bank_params[int(bank_col[i])]
             elif kind is RequestKind.SLICE_ALLOC:
-                params = (("cubes", int(cubes_col[i])),)
+                params = cube_params[int(cubes_col[i])]
             else:
                 params = ()
             out.append(

@@ -7,9 +7,13 @@ injecting writes whenever they exist:
 
 - at most one leader commits per epoch (the fencing-token safety pin);
 - no client-acknowledged commit is ever lost, at any point in the run;
+- nothing the client was told failed ever commits: the committed
+  operations are exactly the acknowledged ones, in order;
 - after the faults clear, the live state digest equals a from-scratch
   serial replay of the committed log, byte for byte.
 """
+
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,3 +173,21 @@ def test_post_failover_digest_equals_serial_replay(events, seed):
         group, {"op": "noop", "reason": "settle"}, SETTLE_S + 0.25, "settle"
     )
     assert group.state_digest() == group.replay_digest()
+
+
+@settings(max_examples=20, deadline=None)
+@given(events=fault_timeline, seed=st.integers(min_value=0, max_value=50))
+def test_committed_operations_are_exactly_the_acked_ones(events, seed):
+    group = run_storm(events, seed)
+    assert submit_with_failover(
+        group, {"op": "noop", "reason": "settle"}, SETTLE_S + 0.25, "settle"
+    )
+    committed = [
+        e.canonical() for e in group.committed_entries() if e.payload["op"] != "noop"
+    ]
+    acked = [
+        r.payload_canonical
+        for r in group.acked_commits()
+        if json.loads(r.payload_canonical.split("|", 2)[2])["op"] != "noop"
+    ]
+    assert committed == acked

@@ -1,16 +1,18 @@
 """Property suite pinning the incremental water-filling engine.
 
-Three implementations of the flow event loop coexist:
-``FlowSimulator.run`` (frontier-incremental), ``run_full_solve`` (one
-vectorized allocation per event), and ``run_reference`` (the dict-loop
-oracle).  All three accept a ``rate_probe`` fired once per event with
-the allocation for the current active set, so this suite pins them
-together **at every event boundary** -- same event times, same per-flow
-rates, exactly -- not just on final completion records.  Tied-bottleneck
-freezes, zero-capacity starvation (and the resulting deadlock), the
-full-solve fallback threshold, and the dict-kernel crossover are all
-swept explicitly: none of these knobs may change a single allocation.
+Two implementations of the flow event loop coexist:
+``FlowSimulator.run`` (frontier-incremental, with a full vectorized
+solve as its fallback) and ``run_reference`` (the dict-loop oracle).
+Both accept a ``rate_probe`` fired once per event with the allocation
+for the current active set, so this suite pins them together **at every
+event boundary** -- same event times, same per-flow rates, exactly --
+not just on final completion records.  Tied-bottleneck freezes,
+zero-capacity starvation (and the resulting deadlock), and the
+full-solve fallback threshold are all swept explicitly: none of them
+may change a single allocation.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError
+from repro.dcn import flowsim
 from repro.dcn.flowsim import FlowSimulator, generate_flows
 from repro.dcn.spinefree import AggregationBlock, SpineFreeFabric
 from repro.dcn.traffic import gravity_matrix
@@ -60,70 +63,51 @@ def _assert_records_equal(a, b):
         assert ra.finish_s == rb.finish_s
 
 
+def _frontier(value):
+    """Context manager: the engine's fallback threshold set to ``value``."""
+    return mock.patch.object(flowsim, "_INCREMENTAL_MAX_FRONTIER", value)
+
+
 class TestEventBoundaryParity:
-    """incremental == full-solve == reference, at every event."""
+    """incremental == reference, at every event."""
 
     @given(seeds, st.integers(min_value=1, max_value=120))
     @settings(max_examples=12, deadline=None)
-    def test_three_engines_agree_at_every_event(self, seed, num_flows):
+    def test_two_engines_agree_at_every_event(self, seed, num_flows):
         fabric, routing, tm = _build_sim(seed % 1000)
         flows = generate_flows(
             tm.demand_gbps, num_flows, mean_size_gbit=50.0, duration_s=2.0, seed=seed
         )
         ev_inc, p_inc = _capture()
-        ev_full, p_full = _capture()
         ev_ref, p_ref = _capture()
         recs_inc = FlowSimulator(fabric, routing, seed=3).run(flows, rate_probe=p_inc)
-        recs_full = FlowSimulator(fabric, routing, seed=3).run_full_solve(
-            flows, rate_probe=p_full
-        )
         recs_ref = FlowSimulator(fabric, routing, seed=3).run_reference(
             flows, rate_probe=p_ref
         )
         _assert_event_streams_equal(ev_inc, ev_ref)
-        _assert_event_streams_equal(ev_full, ev_ref)
         _assert_records_equal(recs_inc, recs_ref)
-        _assert_records_equal(recs_full, recs_ref)
 
     @given(seeds, st.sampled_from([1, 2, 7, 32, 10_000]))
     @settings(max_examples=12, deadline=None)
     def test_fallback_threshold_never_changes_allocations(self, seed, frontier):
-        """incremental_max_frontier is a pure perf knob: frontier=1
-        forces the full-solve fallback on ~every event, 10k never falls
-        back; every setting must produce the reference event stream."""
+        """The fallback threshold is a pure perf constant: 1 forces the
+        full-solve fallback on ~every event, 10k never falls back;
+        every setting must produce the reference event stream."""
         fabric, routing, tm = _build_sim(seed % 1000)
         flows = generate_flows(
             tm.demand_gbps, 60, mean_size_gbit=80.0, duration_s=1.0, seed=seed
         )
         ev_inc, p_inc = _capture()
         ev_ref, p_ref = _capture()
-        sim = FlowSimulator(fabric, routing, seed=3, incremental_max_frontier=frontier)
-        recs_inc = sim.run(flows, rate_probe=p_inc)
+        with _frontier(frontier):
+            recs_inc = FlowSimulator(fabric, routing, seed=3).run(
+                flows, rate_probe=p_inc
+            )
         recs_ref = FlowSimulator(fabric, routing, seed=3).run_reference(
             flows, rate_probe=p_ref
         )
         _assert_event_streams_equal(ev_inc, ev_ref)
         _assert_records_equal(recs_inc, recs_ref)
-
-    @given(seeds, st.sampled_from([0, 5, 10**9]))
-    @settings(max_examples=9, deadline=None)
-    def test_dict_kernel_crossover_never_changes_allocations(self, seed, crossover):
-        """The crossover field sweeps cleanly: crossover=0 pins the
-        matrix kernel, 10^9 pins the dict kernel, and both must equal
-        the reference at every event."""
-        fabric, routing, tm = _build_sim(seed % 1000)
-        flows = generate_flows(
-            tm.demand_gbps, 50, mean_size_gbit=60.0, duration_s=1.0, seed=seed
-        )
-        ev_full, p_full = _capture()
-        ev_ref, p_ref = _capture()
-        sim = FlowSimulator(fabric, routing, seed=3, dict_kernel_crossover=crossover)
-        recs_full = sim.run_full_solve(flows, rate_probe=p_full)
-        recs_ref = FlowSimulator(fabric, routing, seed=3).run_reference(
-            flows, rate_probe=p_ref
-        )
-        _assert_event_streams_equal(ev_full, ev_ref)
-        _assert_records_equal(recs_full, recs_ref)
 
     def test_high_concurrency_with_tiny_frontier(self):
         # Dense arrivals (300 flows in 50ms) push the active set far
@@ -133,8 +117,8 @@ class TestEventBoundaryParity:
         flows = generate_flows(
             tm.demand_gbps, 300, mean_size_gbit=500.0, duration_s=0.05, seed=4
         )
-        sim = FlowSimulator(fabric, routing, seed=3, incremental_max_frontier=8)
-        recs = sim.run(flows)
+        with _frontier(8):
+            recs = FlowSimulator(fabric, routing, seed=3).run(flows)
         recs_ref = FlowSimulator(fabric, routing, seed=3).run_reference(flows)
         _assert_records_equal(recs, recs_ref)
 
@@ -144,7 +128,7 @@ class _RiggedCapacitySim(FlowSimulator):
 
     ``_capacities`` normally drops zero-capacity links (they are dark),
     so genuine starvation cannot be expressed through routing; rigging
-    the capacity dict lets the suite drive all three engines into
+    the capacity dict lets the suite drive both engines into
     zero-capacity allocations and the shared deadlock contract.
     """
 
@@ -166,15 +150,10 @@ class TestTiesAndStarvation:
             tm.demand_gbps, 80, mean_size_gbit=100.0, duration_s=0.2, seed=6
         )
         ev_inc, p_inc = _capture()
-        ev_full, p_full = _capture()
         ev_ref, p_ref = _capture()
         FlowSimulator(fabric, routing, seed=3).run(flows, rate_probe=p_inc)
-        FlowSimulator(fabric, routing, seed=3).run_full_solve(
-            flows, rate_probe=p_full
-        )
         FlowSimulator(fabric, routing, seed=3).run_reference(flows, rate_probe=p_ref)
         _assert_event_streams_equal(ev_inc, ev_ref)
-        _assert_event_streams_equal(ev_full, ev_ref)
         # The scenario actually contains tied freezes: some event must
         # allocate the same rate to >= 3 flows at once.
         assert any(
@@ -196,19 +175,18 @@ class TestTiesAndStarvation:
             _rigged = {link: 0.0 for link in baseline}
 
         streams = []
-        for method in ("run", "run_full_solve", "run_reference"):
+        for method in ("run", "run_reference"):
             events, probe = _capture()
             with pytest.raises(ConfigurationError, match="deadlock"):
                 getattr(Sim(fabric, routing, seed=3), method)(
                     flows, rate_probe=probe
                 )
             streams.append(events)
-        # All three starved identically (every probed rate is 0.0) and
+        # Both starved identically (every probed rate is 0.0) and
         # observed the same event boundaries before giving up.
-        _assert_event_streams_equal(streams[0], streams[2])
-        _assert_event_streams_equal(streams[1], streams[2])
+        _assert_event_streams_equal(streams[0], streams[1])
         assert all(
-            r == 0.0 for _, rates in streams[2] for r in rates.values()
+            r == 0.0 for _, rates in streams[1] for r in rates.values()
         )
 
     def test_partial_starvation_matches_at_every_event(self):
@@ -226,7 +204,7 @@ class TestTiesAndStarvation:
             _rigged = {link: 0.0 for link in dead}
 
         streams, finished = [], []
-        for method in ("run", "run_full_solve", "run_reference"):
+        for method in ("run", "run_reference"):
             events, probe = _capture()
             try:
                 recs = getattr(Sim(fabric, routing, seed=3), method)(
@@ -236,16 +214,13 @@ class TestTiesAndStarvation:
                 recs = None
             streams.append(events)
             finished.append(recs)
-        _assert_event_streams_equal(streams[0], streams[2])
-        _assert_event_streams_equal(streams[1], streams[2])
-        assert (finished[0] is None) == (finished[2] is None)
-        assert (finished[1] is None) == (finished[2] is None)
-        if finished[2] is not None:
-            _assert_records_equal(finished[0], finished[2])
-            _assert_records_equal(finished[1], finished[2])
+        _assert_event_streams_equal(streams[0], streams[1])
+        assert (finished[0] is None) == (finished[1] is None)
+        if finished[1] is not None:
+            _assert_records_equal(finished[0], finished[1])
         # Starvation genuinely occurred at some boundary.
         assert any(
-            any(r == 0.0 for r in rates.values()) for _, rates in streams[2]
+            any(r == 0.0 for r in rates.values()) for _, rates in streams[1]
         )
 
 
@@ -263,9 +238,8 @@ class TestIncrementalInstrumentation:
         # A frontier=1 run must fall back on (at least) every event that
         # touches more than one flow.
         obs2 = Observability.sim()
-        FlowSimulator(
-            fabric, routing, seed=3, obs=obs2, incremental_max_frontier=1
-        ).run(flows)
+        with _frontier(1):
+            FlowSimulator(fabric, routing, seed=3, obs=obs2).run(flows)
         assert obs2.metrics.value("flowsim.full_solve_fallbacks") > 0.0
 
     def test_calendar_stays_lazy(self):

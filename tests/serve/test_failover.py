@@ -20,7 +20,7 @@ from repro.serve.drill import (
     failover_slos,
     run_failover_drill,
 )
-from repro.serve.service import FabricService, ServeConfig
+from repro.serve.service import FabricService, ServeConfig, build_serve_manager
 
 THRESHOLDS = json.loads(
     (Path(__file__).resolve().parents[2] / "benchmarks" / "slo_thresholds.json")
@@ -43,13 +43,16 @@ class TestConfig:
             ServeConfig(num_controller_replicas=3, replica_lease_s=0.0)
 
     def test_default_is_single_controller(self):
-        service = FabricService(ServeConfig(seed=0))
+        config = ServeConfig(seed=0)
+        service = FabricService(config)
         assert service.replication is None
-        assert service.controller is not None
+        # Solo, the service owns one provisioned fabric directly.
+        assert service.manager.state_digest() == (
+            build_serve_manager(config).state_digest()
+        )
 
     def test_replicated_mode_routes_manager_to_leader(self):
         service = FabricService(ServeConfig(seed=0, num_controller_replicas=3))
-        assert service.controller is None
         group = service.replication
         assert group is not None and group.leader_index == 0
         assert service.manager is group.live_manager()
@@ -96,6 +99,20 @@ class TestAcceptance:
         single = run_serve_drill(seed=0, smoke=True)["summary"]
         assert "failovers" not in single
         assert "failover_p99_s" in drill["summary"]
+
+
+class TestGhostCommitRegression:
+    """A commit that fails quorum is reported failed and must never
+    commit later.  If a later leader committed it behind the client's
+    back, these 5,000-primary drills would tear down an unknown slice
+    link (seed 7) or establish one twice (seed 2095392586)."""
+
+    @pytest.mark.parametrize("seed", [7, 2095392586])
+    def test_large_failover_drill_passes(self, seed):
+        summary = run_failover_drill(seed=seed, num_primaries=5_000)["summary"]
+        assert summary["replay_digest"] == summary["state_digest"]
+        assert summary["committed_ops_lost"] == 0
+        assert summary["failovers"] >= 1
 
 
 class TestTimeline:
