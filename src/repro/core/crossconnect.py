@@ -26,12 +26,14 @@ class CrossConnectMap:
     """A partial bijection between north ports and south ports of one OCS.
 
     Ports are integers in ``[0, radix)`` on each side.  The map is mutable;
-    use :meth:`copy` to snapshot.
+    use :meth:`copy` to snapshot.  :attr:`version` counts mutations, so a
+    reader can tell a map it has already rendered from a changed one.
     """
 
     radix: int
     _n_to_s: Dict[int, int] = field(default_factory=dict, repr=False)
     _s_to_n: Dict[int, int] = field(default_factory=dict, repr=False)
+    _version: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.radix <= 0:
@@ -91,6 +93,7 @@ class CrossConnectMap:
             )
         self._n_to_s[north] = south
         self._s_to_n[south] = north
+        self._version += 1
 
     def disconnect(self, north: int) -> int:
         """Tear down the circuit on ``north``; returns the freed south port."""
@@ -98,16 +101,24 @@ class CrossConnectMap:
             raise CrossConnectError(f"north port {north} has no circuit")
         south = self._n_to_s.pop(north)
         del self._s_to_n[south]
+        self._version += 1
         return south
 
     def clear(self) -> None:
         """Tear down every circuit."""
         self._n_to_s.clear()
         self._s_to_n.clear()
+        self._version += 1
 
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
+
+    @property
+    def version(self) -> int:
+        """Mutation counter: bumped by :meth:`connect`, :meth:`disconnect`
+        and :meth:`clear`, the only methods that change the map."""
+        return self._version
 
     def south_of(self, north: int) -> Optional[int]:
         """South port connected to ``north``, or None."""

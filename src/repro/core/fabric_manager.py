@@ -98,6 +98,15 @@ class FabricManager:
     def __init__(self, obs: Optional[Observability] = None) -> None:
         self._switches: Dict[OcsId, SwitchLike] = {}
         self._links: Dict[LinkId, LogicalLink] = {}
+        # state_digest() memo: the (checkpoint key, switch) join order;
+        # per key (state map, its version, rendered fragment); the link
+        # JSON with the _links_version (bumped at every write to _links)
+        # it was rendered at; the last digest.
+        self._digest_order: List[Tuple[str, SwitchLike]] = []
+        self._fragments: Dict[str, Tuple[CrossConnectMap, int, str]] = {}
+        self._links_version = 0
+        self._links_json: Tuple[int, str] = (-1, "")
+        self._digest = ""
         self.stats = ReconfigStats()
         #: Observability bundle; NULL_OBS (shared no-op) when not supplied,
         #: so the instrumented paths cost one no-op call each.
@@ -112,6 +121,10 @@ class FabricManager:
         if ocs_id in self._switches:
             raise ConfigurationError(f"{ocs_id} already registered")
         self._switches[ocs_id] = switch
+        # json.dumps(sort_keys=True) orders the stringified indices
+        # lexicographically ("10" < "2"); state_digest joins likewise.
+        self._digest_order.append((str(ocs_id.index), switch))
+        self._digest_order.sort(key=lambda item: item[0])
 
     def switch(self, ocs_id: OcsId) -> SwitchLike:
         """Return the registered switch for ``ocs_id``."""
@@ -141,6 +154,7 @@ class FabricManager:
         sw.state.connect(north, south)
         link = LogicalLink(link_id, ocs_id, north, south)
         self._links[link_id] = link
+        self._links_version += 1
         self.obs.metrics.counter("fabric.link.establish").inc()
         return link
 
@@ -159,6 +173,7 @@ class FabricManager:
             )
         link = LogicalLink(link_id, ocs_id, north, south)
         self._links[link_id] = link
+        self._links_version += 1
         return link
 
     def teardown(self, link_id: LinkId) -> None:
@@ -180,6 +195,7 @@ class FabricManager:
             )
         sw.state.disconnect(link.north)
         del self._links[link_id]
+        self._links_version += 1
         self.obs.metrics.counter("fabric.link.teardown").inc()
 
     def link(self, link_id: LinkId) -> LogicalLink:
@@ -305,6 +321,7 @@ class FabricManager:
         for link_id in stale:
             del self._links[link_id]
         if stale:
+            self._links_version += 1
             self.obs.metrics.counter("fabric.link.dropped_stale").inc(len(stale))
 
     # ------------------------------------------------------------------ #
@@ -336,6 +353,7 @@ class FabricManager:
         drives hardware toward it.
         """
         self._links = {link.link_id: link for link in links}
+        self._links_version += 1
 
     def checkpoint(self) -> Dict[str, object]:
         """JSON-serializable snapshot of the full control-plane state.
@@ -352,11 +370,15 @@ class FabricManager:
                 }
                 for ocs_id, sw in sorted(self._switches.items())
             },
-            "links": [
-                [str(link.link_id), link.ocs.index, link.north, link.south]
-                for link in (self._links[k] for k in sorted(self._links))
-            ],
+            "links": self._link_rows(),
         }
+
+    def _link_rows(self) -> List[List[object]]:
+        """The checkpoint's link table: one row per link, sorted by id."""
+        return [
+            [str(link.link_id), link.ocs.index, link.north, link.south]
+            for link in (self._links[k] for k in sorted(self._links))
+        ]
 
     def restore(self, snapshot: Mapping[str, object]) -> None:
         """Drive registered switches and the link table to a checkpoint.
@@ -389,6 +411,54 @@ class FabricManager:
 
     def state_digest(self) -> str:
         """SHA-256 over the canonical checkpoint: equal digests mean the
-        switch states and link tables are byte-identical."""
-        payload = json.dumps(self.checkpoint(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        switch states and link tables are byte-identical.
+
+        Memoized: the hashed payload, ``json.dumps(checkpoint(),
+        sort_keys=True, separators=(",", ":"))``, is joined from one JSON
+        fragment per switch plus the link-table JSON.  A switch is
+        rendered when first seen (:meth:`add_switch`) and re-rendered
+        only when its ``state`` is a different map or that map's
+        :attr:`~repro.core.crossconnect.CrossConnectMap.version` moved
+        (``connect``, ``disconnect``, ``clear``); the link JSON only when
+        the link table was written (:meth:`establish`,
+        :meth:`adopt_link`, :meth:`teardown`, :meth:`drop_stale_links`,
+        :meth:`replace_links`, :meth:`restore`).  With nothing moved the
+        last digest is returned as is.
+        :func:`_scratch_state_digest` recomputes it from nothing;
+        ``FabricService.run`` and the tests check that the two agree.
+        """
+        fragments = self._fragments
+        moved = False
+        for key, sw in self._digest_order:
+            state = sw.state
+            memo = fragments.get(key)
+            if memo is None or memo[0] is not state or memo[1] != state.version:
+                circuits = json.dumps(list(state), separators=(",", ":"))
+                fragments[key] = (
+                    state,
+                    state.version,
+                    f'"{key}":{{"circuits":{circuits},"radix":{sw.radix}}}',
+                )
+                moved = True
+        links_json = self._links_json
+        if links_json[0] != self._links_version:
+            links_json = self._links_json = (
+                self._links_version,
+                json.dumps(self._link_rows(), separators=(",", ":")),
+            )
+            moved = True
+        if moved:
+            payload = (
+                '{"links":' + links_json[1] + ',"switches":{'
+                + ",".join(fragments[key][2] for key, _ in self._digest_order)
+                + "}}"
+            )
+            self._digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return self._digest
+
+
+def _scratch_state_digest(manager: FabricManager) -> str:
+    """:meth:`FabricManager.state_digest` recomputed from nothing: the
+    SHA-256 of the canonical checkpoint JSON, with no memo involved."""
+    payload = json.dumps(manager.checkpoint(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()

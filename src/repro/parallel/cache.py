@@ -33,6 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.obs import NULL_OBS
+from repro.obs.export import read_jsonl
 from repro.parallel.canon import spec_digest
 
 #: Bump to orphan every existing cache entry (schema/semantics change).
@@ -174,16 +175,36 @@ class ResultCache:
     # ------------------------------------------------------------------ #
 
     def _read_manifest(self) -> List[Dict[str, object]]:
+        """The on-disk manifest, healed of a torn final record.
+
+        A writer killed mid-append leaves a partial last line (or a
+        whole record without its newline): a partial line is dropped,
+        and the manifest is rewritten so the next :meth:`put` starts on
+        a fresh line.  The dropped record's object file (written before
+        the record) is deleted with every other object no record names,
+        so that entry reads as a miss.  A corrupt line with complete
+        records after it raises
+        :class:`~repro.core.errors.ConfigurationError`.
+        """
         assert self.root is not None
         path = self.root / "manifest.jsonl"
         if not path.exists():
             return []
-        records = []
-        for line in path.read_text().splitlines():
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-        return records
+        records = read_jsonl(path)
+        text = path.read_bytes()
+        if records.truncated_records or (text and not text.endswith(b"\n")):
+            self._write_manifest(records)
+            named = {f"{record['key']}.pkl" for record in records}
+            for obj in (self.root / "objects").glob("*.pkl"):
+                if obj.name not in named:
+                    obj.unlink()
+        return list(records)
+
+    def _write_manifest(self, records: List[Dict[str, object]]) -> None:
+        assert self.root is not None
+        (self.root / "manifest.jsonl").write_text(
+            "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        )
 
     def entries(self, tag: Optional[str] = None) -> List[Dict[str, object]]:
         """Manifest records, optionally filtered by surface tag."""
@@ -211,11 +232,7 @@ class ResultCache:
                 self._object_path(key).unlink(missing_ok=True)
         self._manifest = kept
         if self.root is not None:
-            path = self.root / "manifest.jsonl"
-            payload = "".join(
-                json.dumps(r, sort_keys=True) + "\n" for r in kept
-            )
-            path.write_text(payload)
+            self._write_manifest(kept)
         self.obs.metrics.counter(
             "sweep.cache.invalidated", tag=tag if tag is not None else "*"
         ).add(float(len(dropped)))

@@ -38,10 +38,11 @@ commit log; replaying that log serially against a fresh manager
 **Commit planes.**  Every mutation is one
 :func:`~repro.control.replication.apply_entry` payload.  A solo
 controller applies it straight to its fabric (the *delta plane*: no
-log, an incrementally maintained state digest checked against the full
-one at the end of every run); a replicated controller commits it
-through a :class:`~repro.control.replication.ReplicationGroup`.  The
-plane is fixed at construction; the loop around it is the same.
+log, no quorum); a replicated controller commits it through a
+:class:`~repro.control.replication.ReplicationGroup`.  The plane is
+fixed at construction; the loop around it is the same.  Both read the
+fabric through the memoized ``FabricManager.state_digest()``, and every
+run ends by checking it against a from-scratch recomputation.
 
 **Tenant -> fabric mapping.**  Tenant *i* owns north port
 ``i // num_traffic_ocses`` on traffic OCS ``i % num_traffic_ocses``,
@@ -53,10 +54,7 @@ free port) and cubes from a free-cube count.
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import heapq
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -70,7 +68,11 @@ from repro.core.errors import (
     ReplicationError,
     ServeError,
 )
-from repro.core.fabric_manager import FabricManager, SimpleSwitch
+from repro.core.fabric_manager import (
+    FabricManager,
+    SimpleSwitch,
+    _scratch_state_digest,
+)
 from repro.core.ids import JobId, LinkId, OcsId
 from repro.faults.events import FaultKind
 from repro.faults.injector import FaultInjector
@@ -92,7 +94,12 @@ from repro.serve.requests import (
     outcomes_digest,
 )
 from repro.serve.retry import RetryBudget
-from repro.serve.sink import FullRecordSink, StreamAggregates, StreamingRecordSink
+from repro.serve.sink import (
+    FullRecordSink,
+    RecordLog,
+    StreamAggregates,
+    StreamingRecordSink,
+)
 
 
 @dataclass(frozen=True)
@@ -268,7 +275,7 @@ class ServeReport:
     """Everything one service run produced, deterministically."""
 
     config: ServeConfig
-    records: List[RequestRecord]
+    records: RecordLog
     shed_records: List[ShedRecord]
     commit_log: List[CommitEntry]
     offered: int
@@ -316,8 +323,8 @@ class ServeReport:
                 counts = dict(self.aggregates.outcome_counts)
             else:
                 counts = {o: 0 for o in Outcome}
-                for r in self.records:
-                    counts[r.outcome] += 1
+                for outcome in self.records.outcomes():
+                    counts[outcome] += 1
             self._counts = counts
         return counts.get(outcome, 0)
 
@@ -436,105 +443,6 @@ class _CubeLedger:
         self.free += job.cubes
 
 
-class _DigestCache:
-    """Byte-identical ``FabricManager.state_digest()`` with per-switch
-    fragment reuse.
-
-    The digest hashes ``json.dumps(checkpoint(), sort_keys=True)``;
-    recomputing it from scratch costs a full sort-and-serialize of every
-    switch for every fresh telemetry answer.  A retarget touches exactly
-    one switch, so this cache keeps each switch's serialized fragment
-    and re-renders only dirty ones; the link table (which only slice
-    ops change, one link at a time) is kept as per-link fragments in a
-    bisect-maintained name order, so an alloc or release re-joins
-    strings instead of re-sorting and re-serializing every link.
-    :meth:`FabricService.run` checks it against the full digest at the
-    end of every solo run.
-    """
-
-    __slots__ = ("_manager", "_fragments", "_order", "_by_key", "_dirty",
-                 "_link_fragments", "_link_switch", "_link_names",
-                 "_links_json", "_digest")
-
-    def __init__(self, manager: FabricManager) -> None:
-        self._manager = manager
-        # json.dumps(sort_keys=True) orders the stringified switch
-        # indices lexicographically ("10" < "2"), so the fragment order
-        # must match that, not numeric order.
-        self._by_key = {str(o.index): o for o in manager.switch_ids}
-        self._order = sorted(self._by_key)
-        self._fragments: Dict[str, str] = {}
-        self._dirty = set(self._order)
-        self._link_fragments: Dict[str, str] = {}
-        self._link_switch: Dict[str, str] = {}
-        for link in manager.links:
-            self._add_link(str(link.link_id), link.ocs.index, link.north, link.south)
-        # FabricManager.links sorts by LinkId, which orders by name, so
-        # sorted names reproduce the checkpoint's link order exactly.
-        self._link_names = sorted(self._link_fragments)
-        self._links_json: Optional[str] = None
-        self._digest: Optional[str] = None
-
-    def _add_link(self, name: str, ocs_index: int, north: int, south: int) -> None:
-        self._link_fragments[name] = json.dumps(
-            [name, ocs_index, north, south], separators=(",", ":")
-        )
-        self._link_switch[name] = str(ocs_index)
-
-    def before_commit(self, payload: Dict[str, object]) -> None:
-        """Mark what an ``apply_entry`` payload is about to change.
-
-        Called before the payload is applied, so a retarget that finds
-        its circuit already in place leaves the cached digest valid.
-        """
-        op = payload["op"]
-        if op == "retarget":
-            for ocs_index, north, south in payload["changes"]:
-                key = str(ocs_index)
-                if self._manager.switch(self._by_key[key]).state.south_of(north) != south:
-                    self._dirty.add(key)
-                    self._digest = None
-            return
-        name = str(payload["link"])
-        if op == "establish":
-            self._add_link(
-                name, int(payload["ocs"]), int(payload["north"]), int(payload["south"])
-            )
-            bisect.insort(self._link_names, name)
-            self._dirty.add(self._link_switch[name])
-        else:  # teardown
-            del self._link_fragments[name]
-            del self._link_names[bisect.bisect_left(self._link_names, name)]
-            self._dirty.add(self._link_switch.pop(name))
-        self._links_json = None
-        self._digest = None
-
-    def digest(self) -> str:
-        if self._digest is not None:
-            return self._digest
-        for key in self._dirty:
-            sw = self._manager.switch(self._by_key[key])
-            circuits = json.dumps(
-                [[n, s] for n, s in sorted(sw.state.circuits)],
-                separators=(",", ":"),
-            )
-            self._fragments[key] = (
-                f'"{key}":{{"circuits":{circuits},"radix":{sw.radix}}}'
-            )
-        self._dirty.clear()
-        if self._links_json is None:
-            fragments = self._link_fragments
-            self._links_json = (
-                "[" + ",".join(map(fragments.__getitem__, self._link_names)) + "]"
-            )
-        payload = (
-            '{"links":' + self._links_json + ',"switches":{'
-            + ",".join(self._fragments[k] for k in self._order) + "}}"
-        )
-        self._digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        return self._digest
-
-
 class FabricService:
     """Serial, deterministic serving loop over tenant requests."""
 
@@ -551,7 +459,6 @@ class FabricService:
         self._sink = sink if sink is not None else FullRecordSink()
         self.replication: Optional[ReplicationGroup] = None
         self._solo_manager: Optional[FabricManager] = None
-        self._digest_cache: Optional[_DigestCache] = None
         if config.num_controller_replicas > 1:
             # Each replica owns a full provisioned fabric image; the
             # leader's is the one reads see.
@@ -565,7 +472,6 @@ class FabricService:
             self._commit = self._commit_replicated
         else:
             self._solo_manager = build_serve_manager(config, obs=self.obs)
-            self._digest_cache = _DigestCache(self._solo_manager)
             self._commit = self._commit_solo
         self.admission = FairAdmission(
             global_rate_per_s=config.global_rate_per_s,
@@ -664,13 +570,6 @@ class FabricService:
             return self.replication.live_manager()
         assert self._solo_manager is not None
         return self._solo_manager
-
-    def _state_digest(self) -> str:
-        """``manager.state_digest()``; solo, only changed switches
-        re-serialize."""
-        if self._digest_cache is not None:
-            return self._digest_cache.digest()
-        return self.manager.state_digest()
 
     # ------------------------------------------------------------------ #
     # Fault wiring
@@ -883,7 +782,6 @@ class FabricService:
     def _commit_solo(self, payload: Dict[str, object], token: str) -> None:
         # The delta plane: the replicas' own apply step, straight onto
         # the one fabric -- no log, no quorum, no plan diff.
-        self._digest_cache.before_commit(payload)
         apply_entry(self._solo_manager, payload)
 
     def _commit_replicated(self, payload: Dict[str, object], token: str) -> None:
@@ -1008,7 +906,7 @@ class FabricService:
             t_end = t + self.config.telemetry_cached_ms / 1e3
             self._record(request, Outcome.OK, t_end, detail="cached")
             return t_end
-        self._telemetry_cache = (self._state_digest(), t)
+        self._telemetry_cache = (self.manager.state_digest(), t)
         self._cache_misses += 1
         self._telemetry_miss_counter.inc()
         t_end = t + self.config.telemetry_fresh_ms / 1e3
@@ -1238,16 +1136,15 @@ class FabricService:
                     f"{self._sink.total_recorded} terminal outcomes"
                 )
             state_digest = self.manager.state_digest()
-            if self._digest_cache is not None and (
-                self._digest_cache.digest() != state_digest
-            ):
+            scratch_digest = _scratch_state_digest(self.manager)
+            if state_digest != scratch_digest:
                 raise ServeError(
-                    f"digest cache {self._digest_cache.digest()[:12]} diverged "
-                    f"from fabric state {state_digest[:12]}"
+                    f"memoized state digest {state_digest[:12]} diverged "
+                    f"from fabric state {scratch_digest[:12]}"
                 )
             final = self._sink.finalize()
             if isinstance(final, StreamAggregates):
-                records: List[RequestRecord] = []
+                records = RecordLog()
                 shed_records: List[ShedRecord] = []
                 aggregates: Optional[StreamAggregates] = final
             else:

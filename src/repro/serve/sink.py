@@ -7,7 +7,9 @@ service now writes outcomes through a sink:
 
 - :class:`FullRecordSink` keeps the PR-6 behavior (every record, sorted
   by seq at finalize) and is the default, so reports, JSONL exports,
-  and every existing test see byte-identical results;
+  and every existing test see byte-identical results; at finalize it
+  packs them into a column-wise :class:`RecordLog`, under a quarter of
+  the memory of the record objects;
 - :class:`StreamingRecordSink` keeps memory flat at any stream length:
   an *incremental* outcomes digest over a bounded seq-reorder window,
   per-outcome counts, fine-grained latency histograms (the percentile
@@ -32,8 +34,10 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from itertools import accumulate, chain, islice
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +56,95 @@ LATENCY_BOUNDS_MS: Tuple[float, ...] = exponential_bounds(
 #: Default reservoir size: enough samples for stable p99 estimates of a
 #: drill-scale stream, small enough to be irrelevant at 10⁶ requests.
 DEFAULT_RESERVOIR_SIZE = 4096
+
+
+class RecordLog(Sequence[RequestRecord]):
+    """A finished run's terminal records, in arrival order, column-wise.
+
+    A full-record report outlives its run (drills keep theirs to check
+    and compare), and as objects one record costs ~330 B: the record,
+    its request, three floats, the seq int and the id string.  Here the
+    times, seqs and attempt counts sit unboxed in arrays, request ids in
+    one packed string, and tenants, kinds, params, outcomes and details
+    as codes into tables of their distinct values (~70 B a record).
+    Iteration and indexing rebuild equal :class:`RequestRecord` values;
+    :meth:`outcomes` reads its column directly.
+    """
+
+    __slots__ = ("_ids", "_id_ends", "_seq", "_arrival", "_deadline",
+                 "_finish", "_attempts", "_tables", "_codes")
+
+    #: ``_tables`` / ``_codes`` hold tenant, kind, params, outcome and
+    #: detail, in that order.
+    _OUTCOME = 3
+
+    def __init__(self, records: Sequence[RequestRecord] = ()) -> None:
+        requests = [r.request for r in records]
+        ids = [q.request_id for q in requests]
+        self._ids = "".join(ids)
+        self._id_ends = array("I", accumulate(map(len, ids)))
+        self._seq = array("q", [q.seq for q in requests])
+        self._arrival = array("d", [q.arrival_s for q in requests])
+        self._deadline = array("d", [q.deadline_s for q in requests])
+        self._finish = array("d", [r.finish_s for r in records])
+        self._attempts = array("q", [r.attempts for r in records])
+        columns = (
+            [q.tenant for q in requests],
+            [q.kind for q in requests],
+            [q.params for q in requests],
+            [r.outcome for r in records],
+            [r.detail for r in records],
+        )
+        tables: List[list] = []
+        codes: List[array] = []
+        for values in columns:
+            # setdefault numbers each distinct value by first appearance,
+            # so the dict's key order is the code -> value table.
+            index: Dict[object, int] = {}
+            codes.append(array("I", [index.setdefault(v, len(index)) for v in values]))
+            tables.append(list(index))
+        self._tables = tuple(tables)
+        self._codes = tuple(codes)
+
+    def __len__(self) -> int:
+        return len(self._seq)
+
+    def __iter__(self) -> Iterator[RequestRecord]:
+        tenants, kinds, params, outcomes, details = self._tables
+        tc, kc, pc, oc, dc = self._codes
+        ids, ends = self._ids, self._id_ends
+        rows = zip(
+            (ids[start:end] for start, end in zip(chain((0,), ends), ends)),
+            map(tenants.__getitem__, tc),
+            map(kinds.__getitem__, kc),
+            self._arrival,
+            self._deadline,
+            map(params.__getitem__, pc),
+            self._seq,
+            map(outcomes.__getitem__, oc),
+            self._finish,
+            self._attempts,
+            map(details.__getitem__, dc),
+        )
+        for (request_id, tenant, kind, arrival_s, deadline_s, param, seq,
+             outcome, finish_s, attempts, detail) in rows:
+            yield RequestRecord(
+                TenantRequest(
+                    request_id, tenant, kind, arrival_s, deadline_s, param, seq
+                ),
+                outcome, finish_s, attempts, detail,
+            )
+
+    def __getitem__(self, i):
+        # Walks the columns up to the index: callers iterate, they do
+        # not index in loops.
+        if isinstance(i, slice):
+            return list(self)[i]
+        return next(islice(self, range(len(self))[i], None))
+
+    def outcomes(self) -> Iterator[Outcome]:
+        """Each record's outcome, in order, without rebuilding records."""
+        return map(self._tables[self._OUTCOME].__getitem__, self._codes[self._OUTCOME])
 
 
 class FullRecordSink:
@@ -83,11 +176,14 @@ class FullRecordSink:
     def total_recorded(self) -> int:
         return len(self.records)
 
-    def finalize(self) -> List[RequestRecord]:
-        # Sorted in place: the report takes this list, so the sink and
-        # the report share one list instead of holding two.
+    def finalize(self) -> RecordLog:
+        # The report takes the packed log; the sink keeps it in place
+        # of the record objects, so their memory goes with the run.
         self.records.sort(key=lambda r: r.request.seq)
-        return self.records
+        log = RecordLog(self.records)
+        self.records = log  # type: ignore[assignment]
+        self._terminal.clear()
+        return log
 
 
 @dataclass

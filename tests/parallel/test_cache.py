@@ -115,6 +115,56 @@ class TestOnDisk:
         ]
         assert stamps == [0.0, 1.0, 2.0]
 
+    def _torn_after(self, tmp_path, tail: str):
+        """Two stored entries, then a third whose manifest append died
+        after writing ``tail`` (its object file had already landed)."""
+        cache = ResultCache(tmp_path)
+        ka, kb, kc = (cache.key("t", x) for x in (1, 2, 3))
+        cache.put(ka, "one", tag="t")
+        cache.put(kb, "two", tag="t")
+        cache.put(kc, "three", tag="t")
+        manifest = tmp_path / "manifest.jsonl"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(lines[:2]) + tail(lines[2]))
+        return ka, kb, kc
+
+    def test_torn_manifest_tail_reads_as_a_miss(self, tmp_path):
+        ka, kb, kc = self._torn_after(tmp_path, lambda line: line[: len(line) // 2])
+        reloaded = ResultCache(tmp_path)
+        assert len(reloaded) == 2
+        assert reloaded.get(ka) == (True, "one")
+        assert reloaded.get(kb) == (True, "two")
+        assert reloaded.get(kc) == (False, None)
+        assert not (tmp_path / "objects" / f"{kc}.pkl").exists()
+        assert (tmp_path / "manifest.jsonl").read_text().count("\n") == 2
+
+    def test_manifest_record_missing_its_newline_is_kept(self, tmp_path):
+        ka, kb, kc = self._torn_after(tmp_path, lambda line: line.rstrip("\n"))
+        reloaded = ResultCache(tmp_path)
+        assert [r["key"] for r in reloaded.entries()] == [ka, kb, kc]
+        assert reloaded.get(kc) == (True, "three")
+        assert (tmp_path / "manifest.jsonl").read_text().endswith("}\n")
+
+    def test_put_after_reopening_a_torn_manifest(self, tmp_path):
+        ka, kb, kc = self._torn_after(tmp_path, lambda line: line[:7])
+        reopened = ResultCache(tmp_path)
+        kd = reopened.key("t", 4)
+        reopened.put(kd, "four", tag="t")
+        again = ResultCache(tmp_path)
+        assert [r["key"] for r in again.entries()] == [ka, kb, kd]
+        assert again.get(kd) == (True, "four")
+        assert again.get(kc) == (False, None)
+
+    def test_corrupt_manifest_mid_file_raises(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        for x in range(3):
+            cache.put(cache.key("t", x), x, tag="t")
+        manifest = tmp_path / "manifest.jsonl"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text(lines[0] + lines[1][:9] + "\n" + lines[2])
+        with pytest.raises(ConfigurationError, match="corrupt JSONL record on line 2"):
+            ResultCache(tmp_path)
+
     def test_injected_clock_stamps_wall_time(self, tmp_path):
         ticks = iter([100.0004, 200.0])
         cache = ResultCache(tmp_path, now_fn=lambda: next(ticks))

@@ -17,10 +17,12 @@
   the live ``state_digest`` and :func:`replay_committed`;
 - the streaming sink's reorder window stays bounded by in-flight work
   (the flat-memory contract), and its digest equals the full-record
-  one;
-- the ``_DigestCache`` answer equals ``FabricManager.state_digest()``
-  after slice allocs/releases have churned the link table, and a solo
-  run whose cache missed a commit fails instead of reporting;
+  one; the full sink's column-wise ``RecordLog`` rebuilds exactly the
+  records it packed;
+- on both commit planes the memoized ``FabricManager.state_digest()``
+  equals the from-scratch hash after slice allocs/releases have churned
+  the link table, and a run whose memo missed a mutation fails instead
+  of reporting;
 - the sharded drill merges to byte-identical summaries for any worker
   count.
 """
@@ -36,7 +38,9 @@ from hypothesis import strategies as st
 from repro.control import journal
 from repro.control.journal import DurableController
 from repro.control.wal import CrashSchedule
+from repro.core.crossconnect import CrossConnectMap
 from repro.core.errors import ControllerCrash, ServeError
+from repro.core.fabric_manager import _scratch_state_digest
 from repro.core.ids import LinkId, OcsId
 from repro.faults.events import FaultKind, controller_target
 from repro.faults.injector import FaultInjector
@@ -52,11 +56,10 @@ from repro.serve.service import (
     CommitEntry,
     FabricService,
     ServeConfig,
-    _DigestCache,
     build_serve_manager,
     replay_committed,
 )
-from repro.serve.sink import StreamingRecordSink
+from repro.serve.sink import FullRecordSink, StreamingRecordSink
 from repro.serve.workload import ServeWorkload
 
 CRASH = FaultKind.CONTROLLER_CRASH
@@ -186,9 +189,10 @@ def _injector(events, seed: int) -> FaultInjector:
     return injector
 
 
-def _small_run(events, seed: int, sink=None):
+def _small_run(events, seed: int, sink=None, replicas: int = 1):
     config = ServeConfig(
-        num_traffic_ocses=2, num_tenants=16, allocator_cubes=8, seed=seed
+        num_traffic_ocses=2, num_tenants=16, allocator_cubes=8, seed=seed,
+        num_controller_replicas=replicas,
     )
     requests = ServeWorkload(
         seed=seed, rate_per_s=800.0, num_tenants=16
@@ -319,6 +323,30 @@ def test_fast_path_equals_reference_at_drill_scale():
     assert oracle == report.state_digest
 
 
+class _KeepObjects(FullRecordSink):
+    """Keeps the record objects the packed log replaces."""
+
+    def finalize(self):
+        self.objects = sorted(self.records, key=lambda r: r.request.seq)
+        return super().finalize()
+
+
+def test_record_log_rebuilds_every_record():
+    """The full sink's column-wise log answers exactly what the record
+    objects it replaced would: every record, by index, slice and
+    iteration, plus the outcomes read off their column."""
+    for (seed, events) in GOLDEN_SMALL:
+        sink = _KeepObjects()
+        _, report = _small_run(events, seed, sink=sink)
+        objects, log = sink.objects, report.records
+        assert sink.records is log and len(log) == len(objects) > 0
+        assert list(log) == objects
+        assert log[-1] == objects[-1] and log[3:9] == objects[3:9]
+        assert list(log.outcomes()) == [r.outcome for r in objects]
+        with pytest.raises(IndexError):
+            log[len(log)]
+
+
 def test_streaming_sink_matches_full_records_and_stays_flat():
     for (seed, events), pinned in GOLDEN_SMALL.items():
         sink = StreamingRecordSink(seed=seed)
@@ -340,21 +368,33 @@ def test_streaming_sink_matches_full_records_and_stays_flat():
 
 
 @settings(max_examples=10, deadline=None)
-@given(events=fault_events, seed=st.integers(min_value=0, max_value=50))
-def test_digest_cache_equals_manager_digest(events, seed):
-    service, report = _small_run(events, seed)
-    cache = service._digest_cache
-    assert cache is not None
-    assert cache.digest() == service.manager.state_digest()
-    assert report.state_digest == service.manager.state_digest()
+@given(
+    events=fault_events,
+    seed=st.integers(min_value=0, max_value=50),
+    replicas=st.sampled_from([1, 3]),
+)
+def test_memoized_digest_equals_scratch_digest(events, seed, replicas):
+    service, report = _small_run(events, seed, replicas=replicas)
+    assert (service.replication is None) == (replicas == 1)
+    scratch = _scratch_state_digest(service.manager)
+    assert service.manager.state_digest() == scratch
+    assert report.state_digest == scratch
 
 
-def test_run_refuses_a_stale_digest_cache(monkeypatch):
-    """The solo run checks its incremental digest against the full one
-    before it reports: a cache that misses a commit fails the run."""
-    monkeypatch.setattr(_DigestCache, "before_commit", lambda self, payload: None)
-    with pytest.raises(ServeError, match="digest cache"):
-        _small_run([], 0)
+@pytest.mark.parametrize("replicas", [1, 3])
+def test_run_refuses_a_stale_digest_memo(monkeypatch, replicas):
+    """Every run checks the memoized digest against a from-scratch one
+    before it reports: a connect that skips its version bump leaves the
+    memo stale, and the run fails instead of reporting it."""
+
+    def connect_without_bump(self, north, south):
+        self._check_range(north, south)
+        self._n_to_s[north] = south
+        self._s_to_n[south] = north
+
+    monkeypatch.setattr(CrossConnectMap, "connect", connect_without_bump)
+    with pytest.raises(ServeError, match="memoized state digest"):
+        _small_run([], 0, replicas=replicas)
 
 
 def test_peak_pending_saturates_independent_of_request_count():
