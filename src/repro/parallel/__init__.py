@@ -21,8 +21,10 @@ through one engine:
   arena and workers rebuild read-only views from a tiny header spec,
   so shipping cost stops scaling with ``chunks x payload``
   (``SweepEngine(ship="shm")``).
-- ``python -m repro.parallel.smoke`` -- the CI cache-smoke gate: one
-  sweep run cold then warm, asserting 100% hits and a >=5x speedup.
+
+``tests/parallel/test_cache.py`` holds the cache contract end to end:
+one sweep run cold, then warm through a reopened on-disk cache, must
+be byte-identical, 100% hits and at least 5x faster.
 
 See ``docs/SYSTEMS.md`` §11 for the engine semantics, the seed-splitting
 contract, and the cache key/invalidation rules.

@@ -8,7 +8,8 @@ Entry points:
 - :class:`~repro.serve.workload.ServeWorkload` -- seeded open-loop
   tenant request streams;
 - :func:`~repro.serve.drill.run_serve_drill` -- the overload-burst
-  drill CI and the NOC report run (``streaming=True`` swaps the
+  drill behind ``python -m repro.tools.noc serve`` and the NOC report's
+  serve phase (``streaming=True`` swaps the
   per-record report for a :class:`~repro.serve.sink.StreamingRecordSink`
   roll-up, flat in memory at 10^6 requests);
 - :func:`~repro.serve.drill.run_serve_drill_sharded` -- the same drill
@@ -16,7 +17,8 @@ Entry points:
   :class:`~repro.parallel.SweepEngine`, merged deterministically;
 - :func:`~repro.serve.drill.run_failover_drill` -- the replicated
   control plane (``num_controller_replicas > 1``) riding out a rolling
-  crash / partition / clock-skew storm via lease-based failover.
+  crash / partition / clock-skew storm via lease-based failover
+  (``python -m repro.tools.noc failover``).
 """
 
 from repro.serve.admission import FairAdmission, TokenBucket

@@ -498,32 +498,31 @@ def run_failover_drill(
 
 
 def report_jsonl_lines(report) -> List[str]:
-    """Per-request JSONL lines (the CI artifact)."""
+    """Per-request JSONL lines (the CI artifact), in the report's record
+    order, read straight off its :class:`~repro.serve.sink.RecordLog`."""
     import json
 
-    lines = []
-    for record in report.records:
-        request = record.request
-        lines.append(
-            json.dumps(
-                {
-                    "seq": request.seq,
-                    "id": request.request_id,
-                    "tenant": request.tenant,
-                    "kind": request.kind.value,
-                    "arrival_s": round(request.arrival_s, 9),
-                    "deadline_s": round(request.deadline_s, 9),
-                    "outcome": record.outcome.value,
-                    "finish_s": round(record.finish_s, 9),
-                    "latency_ms": round(record.latency_ms, 6),
-                    "attempts": record.attempts,
-                    "detail": record.detail,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
+    return [
+        json.dumps(
+            {
+                "seq": seq,
+                "id": request_id,
+                "tenant": tenant,
+                "kind": kind.value,
+                "arrival_s": round(arrival_s, 9),
+                "deadline_s": round(deadline_s, 9),
+                "outcome": outcome.value,
+                "finish_s": round(finish_s, 9),
+                "latency_ms": round((finish_s - arrival_s) * 1e3, 6),
+                "attempts": attempts,
+                "detail": detail,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
         )
-    return lines
+        for (request_id, tenant, kind, arrival_s, deadline_s, _, seq,
+             outcome, finish_s, attempts, detail) in report.records.rows()
+    ]
 
 
 def drill_slos(summary: Dict[str, object]) -> Dict[str, float]:

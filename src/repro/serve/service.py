@@ -91,7 +91,6 @@ from repro.serve.requests import (
     RequestKind,
     RequestRecord,
     TenantRequest,
-    outcomes_digest,
 )
 from repro.serve.retry import RetryBudget
 from repro.serve.sink import (
@@ -323,8 +322,8 @@ class ServeReport:
                 counts = dict(self.aggregates.outcome_counts)
             else:
                 counts = {o: 0 for o in Outcome}
-                for outcome in self.records.outcomes():
-                    counts[outcome] += 1
+                for seen in self.records.outcomes():
+                    counts[seen] += 1
             self._counts = counts
         return counts.get(outcome, 0)
 
@@ -350,9 +349,7 @@ class ServeReport:
                 # above the true order statistic), not an exact sort.
                 return self.aggregates.latency_percentile_ms(q, outcome)
             # Sort once per outcome, not once per percentile query.
-            lat = sorted(
-                r.latency_ms for r in self.records if r.outcome is outcome
-            )
+            lat = self.records.sorted_latencies_ms(outcome)
             self._sorted_latencies[outcome] = lat
         if not lat:
             return 0.0
@@ -361,7 +358,7 @@ class ServeReport:
     def outcomes_digest(self) -> str:
         if self.aggregates is not None and not self.records:
             return self.aggregates.outcomes_digest
-        return outcomes_digest(self.records)
+        return self.records.outcomes_digest()
 
     def failover_percentile_s(self, q: float) -> float:
         durations = sorted(self.failover_durations_s)

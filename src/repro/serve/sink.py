@@ -44,7 +44,13 @@ import numpy as np
 from repro.core.errors import ConfigurationError, ServeError
 from repro.obs.metrics import Histogram, exponential_bounds
 from repro.serve.queueing import ShedRecord
-from repro.serve.requests import Outcome, RequestRecord, TenantRequest
+from repro.serve.requests import (
+    KIND_VALUE,
+    OUTCOME_VALUE,
+    Outcome,
+    RequestRecord,
+    TenantRequest,
+)
 
 #: Latency histogram ladder for streaming percentile estimates: 4%
 #: geometric steps from 10 µs to ~1.9e3 s, so a quantile read from the
@@ -68,7 +74,8 @@ class RecordLog(Sequence[RequestRecord]):
     one packed string, and tenants, kinds, params, outcomes and details
     as codes into tables of their distinct values (~70 B a record).
     Iteration and indexing rebuild equal :class:`RequestRecord` values;
-    :meth:`outcomes` reads its column directly.
+    :meth:`outcomes`, :meth:`rows`, :meth:`outcomes_digest` and
+    :meth:`sorted_latencies_ms` read the columns directly.
     """
 
     __slots__ = ("_ids", "_id_ends", "_seq", "_arrival", "_deadline",
@@ -109,11 +116,13 @@ class RecordLog(Sequence[RequestRecord]):
     def __len__(self) -> int:
         return len(self._seq)
 
-    def __iter__(self) -> Iterator[RequestRecord]:
-        tenants, kinds, params, outcomes, details = self._tables
+    def _rows(self, tenants, kinds, params, outcomes, details) -> Iterator[tuple]:
+        """Each record's fields in log order (the :class:`TenantRequest`
+        fields, then the :class:`RequestRecord` ones), with the coded
+        columns decoded through the given tables."""
         tc, kc, pc, oc, dc = self._codes
         ids, ends = self._ids, self._id_ends
-        rows = zip(
+        return zip(
             (ids[start:end] for start, end in zip(chain((0,), ends), ends)),
             map(tenants.__getitem__, tc),
             map(kinds.__getitem__, kc),
@@ -126,8 +135,16 @@ class RecordLog(Sequence[RequestRecord]):
             self._attempts,
             map(details.__getitem__, dc),
         )
+
+    def rows(self) -> Iterator[tuple]:
+        """``(request_id, tenant, kind, arrival_s, deadline_s, params,
+        seq, outcome, finish_s, attempts, detail)`` per record, in log
+        order, without building record objects."""
+        return self._rows(*self._tables)
+
+    def __iter__(self) -> Iterator[RequestRecord]:
         for (request_id, tenant, kind, arrival_s, deadline_s, param, seq,
-             outcome, finish_s, attempts, detail) in rows:
+             outcome, finish_s, attempts, detail) in self.rows():
             yield RequestRecord(
                 TenantRequest(
                     request_id, tenant, kind, arrival_s, deadline_s, param, seq
@@ -145,6 +162,51 @@ class RecordLog(Sequence[RequestRecord]):
     def outcomes(self) -> Iterator[Outcome]:
         """Each record's outcome, in order, without rebuilding records."""
         return map(self._tables[self._OUTCOME].__getitem__, self._codes[self._OUTCOME])
+
+    def outcomes_digest(self) -> str:
+        """:func:`~repro.serve.requests.outcomes_digest` of the records,
+        hashed straight off the columns: each distinct kind, params and
+        outcome is rendered once, and the lines go in ``(seq,
+        request_id)`` order (the log is in seq order; equal seqs, such
+        as hand-built requests' ``-1``, are reordered by id)."""
+        tenants, kinds, params, outcomes, details = self._tables
+        # Each line is ``RequestRecord.canonical()`` + newline, byte for
+        # byte (the digest pins in tests/serve/test_fastpath.py hold it).
+        lines = (
+            f"{request_id}|{tenant}|{kind}|{arrival_s!r}|{deadline_s!r}|"
+            f"{param}|{outcome}|{finish_s!r}|{attempts}|{detail}\n"
+            for (request_id, tenant, kind, arrival_s, deadline_s, param, _,
+                 outcome, finish_s, attempts, detail) in self._rows(
+                tenants,
+                [KIND_VALUE[k] for k in kinds],
+                [",".join(f"{k}={v!r}" for k, v in p) for p in params],
+                [OUTCOME_VALUE[o] for o in outcomes],
+                details,
+            )
+        )
+        seqs = self._seq
+        if len(seqs) > 1 and not (np.diff(np.frombuffer(seqs, dtype="q")) > 0).all():
+            ids = (row[0] for row in self.rows())
+            keyed = sorted(zip(seqs, ids, range(len(seqs)), lines))
+            lines = (line for *_, line in keyed)
+        digest = hashlib.sha256()
+        # Hash in blocks of lines: one encode per block, and no copy of
+        # the whole table's text.
+        for block in iter(lambda: "".join(islice(lines, 256)), ""):
+            digest.update(block.encode("utf-8"))
+        return digest.hexdigest()
+
+    def sorted_latencies_ms(self, outcome: Outcome) -> List[float]:
+        """Ascending ``(finish_s - arrival_s) * 1e3`` of the records that
+        ended in ``outcome`` (what each record's ``latency_ms`` reads)."""
+        table = self._tables[self._OUTCOME]
+        if outcome not in table:
+            return []
+        codes = np.frombuffer(self._codes[self._OUTCOME], dtype="I")
+        chosen = codes == table.index(outcome)
+        finish = np.frombuffer(self._finish, dtype="d")[chosen]
+        arrival = np.frombuffer(self._arrival, dtype="d")[chosen]
+        return np.sort((finish - arrival) * 1e3, kind="stable").tolist()
 
 
 class FullRecordSink:

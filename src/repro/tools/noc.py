@@ -1,22 +1,31 @@
-"""Fleet NOC report: the observability subsystem on one screen.
+"""Fleet NOC: the one operator entry point for every observed drill.
 
-``python -m repro.tools.noc`` runs the observed fabric drill
-(:func:`repro.obs.drill.run_fabric_drill`), then renders what a network
-operations center would watch: the metric snapshot, the slowest spans,
-per-OCS telemetry summaries, quarantine state, and an SLO section
+``python -m repro.tools.noc [DRILL] [--seed N] [--smoke] [--check]
+[--thresholds PATH] [--out-dir DIR]`` runs one seeded drill and renders
+what a network operations center would watch, with an SLO section
 checked against the committed thresholds in
-``benchmarks/slo_thresholds.json``.  With ``--check`` an SLO regression
-exits non-zero (the CI gate); ``--trace-out`` / ``--metrics-out`` export
-the run's spans and metrics as JSONL for offline queries.
+``benchmarks/slo_thresholds.json``:
 
-``python -m repro.tools.noc twin`` runs the predictive digital-twin
-drill instead (:func:`repro.twin.drill.run_twin_drill`): record a fleet
-timeline, train the availability forecaster on a chaos ensemble, and
-what-if-replay candidate policies, rendering the forecast scorecard and
-per-policy predicted SLO deltas.  ``--timeline-out`` / ``--plans-out`` /
-``--aggregates-out`` write the JSONL artifacts; ``--check`` gates the
-``twin_*`` thresholds (forecast coverage, forecast skill, replay
-divergence).
+- ``fabric`` (the default) -- the observed fabric drill
+  (:func:`repro.obs.drill.run_fabric_drill`): metric snapshot, slowest
+  spans, per-OCS telemetry, quarantine state; gates every SLO;
+- ``serve`` -- the overload-burst serving drill
+  (:func:`repro.serve.drill.run_serve_drill`); gates ``serve_*``;
+- ``failover`` -- the replicated-control-plane partition storm
+  (:func:`repro.serve.drill.run_failover_drill`); gates ``failover_*``
+  and ``committed_ops_lost``;
+- ``twin`` -- the predictive digital twin
+  (:func:`repro.twin.drill.run_twin_drill`): forecast scorecard and
+  per-policy predicted SLO deltas; gates ``twin_*``.
+
+A drill gates exactly the thresholds its SLO function reports.  A
+missing thresholds file, or one naming an SLO no drill reports, is a
+usage error (exit 2).  With ``--check`` an SLO regression exits 1, and
+``--check --smoke`` also runs the drill a second time and exits 1 unless
+both summaries are equal.  ``--out-dir DIR`` writes
+``DIR/<drill>-summary.json`` and one ``DIR/<drill>-<stream>.jsonl`` per
+artifact stream (fabric: ``trace``, ``metrics``; serve and failover:
+``requests``; twin: ``timeline``, ``plans``, ``aggregates``).
 """
 
 from __future__ import annotations
@@ -24,15 +33,30 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.analysis.tables import render_table
+from repro.obs import Observability
 from repro.obs.drill import DrillReport, run_fabric_drill
-from repro.obs.export import export_metrics, export_trace
+from repro.obs.export import export_metrics, export_trace, write_jsonl
+from repro.serve.drill import (
+    drill_slos,
+    failover_slos,
+    report_jsonl_lines,
+    run_failover_drill,
+    run_serve_drill,
+)
+from repro.twin.drill import run_twin_drill, twin_slos
 
 #: Default location of the committed SLO thresholds (repo root relative).
 DEFAULT_THRESHOLDS = Path(__file__).resolve().parents[3] / "benchmarks" / "slo_thresholds.json"
+
+#: (slo, value, max allowed, ok) -- one row per gated threshold.
+SloRows = List[Tuple[str, float, float, bool]]
 
 
 def _split_series(series: str) -> Tuple[str, Dict[str, str]]:
@@ -81,9 +105,7 @@ def compute_slos(report: DrillReport) -> Dict[str, float]:
     }
 
 
-def check_slos(
-    slos: Dict[str, float], thresholds: Dict[str, float]
-) -> List[Tuple[str, float, float, bool]]:
+def check_slos(slos: Dict[str, float], thresholds: Dict[str, float]) -> SloRows:
     """(slo, value, max allowed, ok) per threshold; unknown SLOs fail."""
     rows = []
     for name in sorted(thresholds):
@@ -99,7 +121,16 @@ def _section(title: str) -> None:
     print(f"== {title} " + "=" * max(0, 60 - len(title)))
 
 
-def render_report(report: DrillReport, slo_rows, top: int) -> None:
+def _slo_section(title: str, slo_rows: SloRows) -> None:
+    _section(title)
+    print(render_table(
+        ["slo", "value", "max allowed", "status"],
+        [[name, f"{value:.4f}", f"{limit:.4f}", "ok" if ok else "REGRESSED"]
+         for name, value, limit, ok in slo_rows],
+    ))
+
+
+def render_report(report: DrillReport, slo_rows: SloRows, top: int = 10) -> None:
     tracer, registry = report.obs.tracer, report.obs.metrics
     trace_digest, metrics_digest = report.digests()
     print(f"FLEET NOC REPORT  seed={report.seed}"
@@ -109,12 +140,7 @@ def render_report(report: DrillReport, slo_rows, top: int) -> None:
     print(f"trace digest   {trace_digest}")
     print(f"metrics digest {metrics_digest}")
 
-    _section("SLOs")
-    print(render_table(
-        ["slo", "value", "max allowed", "status"],
-        [[name, f"{value:.4f}", f"{limit:.4f}", "ok" if ok else "REGRESSED"]
-         for name, value, limit, ok in slo_rows],
-    ))
+    _slo_section("SLOs", slo_rows)
 
     _section(f"Slowest spans (top {top})")
     print(render_table(
@@ -182,7 +208,7 @@ def render_report(report: DrillReport, slo_rows, top: int) -> None:
     print(render_table(["series", "count", "p50", "p99", "max"], hist_rows))
 
 
-def render_twin_report(out: Dict[str, object], slo_rows) -> None:
+def render_twin_report(out: Dict[str, object], slo_rows: SloRows) -> None:
     summary: Dict[str, object] = out["summary"]  # type: ignore[assignment]
     forecast: Dict[str, float] = summary["forecast"]  # type: ignore[assignment]
     print(f"DIGITAL TWIN REPORT  seed={summary['seed']}"
@@ -193,12 +219,7 @@ def render_twin_report(out: Dict[str, object], slo_rows) -> None:
     print(f"timeline digest   {summary['timeline_digest']}")
     print(f"aggregates digest {summary['aggregates_digest']}")
 
-    _section("Twin SLOs")
-    print(render_table(
-        ["slo", "value", "max allowed", "status"],
-        [[name, f"{value:.4f}", f"{limit:.4f}", "ok" if ok else "REGRESSED"]
-         for name, value, limit, ok in slo_rows],
-    ))
+    _slo_section("Twin SLOs", slo_rows)
 
     _section("Availability forecast (held-out chaos ensemble)")
     print(render_table(
@@ -232,129 +253,169 @@ def render_twin_report(out: Dict[str, object], slo_rows) -> None:
     ))
 
 
-def twin_main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.tools.noc twin",
-        description="predictive digital-twin drill: forecast + what-if SLO planning",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="drill seed")
-    parser.add_argument("--smoke", action="store_true",
-                        help="small fast drill (the CI parameterization)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 if any twin SLO exceeds its threshold")
-    parser.add_argument("--thresholds", type=Path, default=DEFAULT_THRESHOLDS,
-                        help="SLO thresholds JSON (twin_* keys gate)")
-    parser.add_argument("--timeline-out", type=Path, default=None,
-                        help="write the recorded fleet timeline as JSONL")
-    parser.add_argument("--plans-out", type=Path, default=None,
-                        help="write the what-if plan reports as JSONL")
-    parser.add_argument("--aggregates-out", type=Path, default=None,
-                        help="write the windowed aggregates as JSONL")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable summary instead of tables")
-    args = parser.parse_args(argv)
+def render_serve_report(out: Dict[str, Any], slo_rows: SloRows) -> None:
+    summary: Dict[str, object] = out["summary"]
+    title = "FAILOVER" if "num_replicas" in summary else "SERVE"
+    print(f"{title} DRILL REPORT  seed={summary['seed']}"
+          f"  mode={'smoke' if summary['smoke'] else 'full'}")
+    print(f"outcomes digest {summary['outcomes_digest']}")
+    print(f"state digest    {summary['state_digest']}")
 
-    from repro.obs import Observability
-    from repro.obs.export import write_jsonl
-    from repro.twin.drill import run_twin_drill, twin_slos
+    _slo_section("SLOs", slo_rows)
 
-    obs = Observability.sim()
-    out = run_twin_drill(seed=args.seed, smoke=args.smoke, obs=obs)
-    summary: Dict[str, object] = out["summary"]  # type: ignore[assignment]
+    _section("Summary")
+    print(render_table(
+        ["key", "value"],
+        [[key, str(value)] for key, value in sorted(summary.items())
+         if not key.endswith("_digest")],
+    ))
 
-    thresholds: Dict[str, float] = {}
-    if args.thresholds.exists():
-        thresholds = json.loads(args.thresholds.read_text())
-    twin_thresholds = {
-        name: limit for name, limit in thresholds.items()
-        if name.startswith("twin_")
+
+def fabric_summary(report: DrillReport) -> Dict[str, object]:
+    trace_digest, metrics_digest = report.digests()
+    return {
+        "seed": report.seed,
+        "smoke": report.smoke,
+        "slos": compute_slos(report),
+        "notes": report.notes,
+        "num_spans": report.obs.tracer.num_spans,
+        "num_series": report.obs.metrics.num_series,
+        "trace_digest": trace_digest,
+        "metrics_digest": metrics_digest,
     }
-    slo_rows = check_slos(twin_slos(summary), twin_thresholds)
 
-    timeline = out["timeline"]
-    if args.timeline_out is not None:
-        write_jsonl(args.timeline_out, timeline.to_records())
-    if args.plans_out is not None:
-        write_jsonl(args.plans_out, [p.to_record() for p in out["plans"]])
-    if args.aggregates_out is not None:
-        write_jsonl(args.aggregates_out, out["aggregates"])
 
-    if args.json:
-        print(json.dumps({
-            **{k: v for k, v in summary.items()},
-            "slo_ok": all(ok for *_, ok in slo_rows),
-            "plans": [p.to_record() for p in out["plans"]],
-        }, indent=2, sort_keys=True))
-    else:
-        render_twin_report(out, slo_rows)
+def _write_requests(out: Dict[str, Any], path: Path) -> None:
+    path.write_text("\n".join(report_jsonl_lines(out["report"])) + "\n")
 
-    if args.check and not all(ok for *_, ok in slo_rows):
-        print("TWIN SLO REGRESSION: one or more twin SLOs exceed their "
-              "thresholds", file=sys.stderr)
-        return 1
-    return 0
+
+@dataclass(frozen=True)
+class Drill:
+    """One ``noc`` drill: how to run it and what it reports."""
+
+    #: (seed, smoke) -> the drill's result.
+    run: Callable[[int, bool], Any]
+    #: summary -> SLO values; the drill gates exactly these names.
+    slos: Callable[[Dict[str, object]], Dict[str, float]]
+    #: stream name -> writer of ``<drill>-<stream>.jsonl``.
+    streams: Dict[str, Callable[[Any, Path], None]]
+    render: Callable[[Any, SloRows], None]
+    #: result -> the JSON-ready summary (also the determinism check).
+    summary: Callable[[Any], Dict[str, object]] = itemgetter("summary")
+
+
+DRILLS: Dict[str, Drill] = {
+    "fabric": Drill(
+        run=lambda seed, smoke: run_fabric_drill(seed, smoke=smoke),
+        slos=itemgetter("slos"),
+        streams={
+            "trace": lambda r, path: export_trace(
+                path, r.obs.tracer, seed=r.seed, smoke=r.smoke),
+            "metrics": lambda r, path: export_metrics(
+                path, r.obs.metrics, seed=r.seed, smoke=r.smoke),
+        },
+        render=render_report,
+        summary=fabric_summary,
+    ),
+    "serve": Drill(
+        run=lambda seed, smoke: run_serve_drill(seed=seed, smoke=smoke),
+        slos=drill_slos,
+        streams={"requests": _write_requests},
+        render=render_serve_report,
+    ),
+    "failover": Drill(
+        run=lambda seed, smoke: run_failover_drill(seed=seed, smoke=smoke),
+        slos=failover_slos,
+        streams={"requests": _write_requests},
+        render=render_serve_report,
+    ),
+    "twin": Drill(
+        run=lambda seed, smoke: run_twin_drill(
+            seed=seed, smoke=smoke, obs=Observability.sim()),
+        slos=twin_slos,
+        streams={
+            "timeline": lambda out, path: write_jsonl(
+                path, out["timeline"].to_records()),
+            "plans": lambda out, path: write_jsonl(
+                path, [p.to_record() for p in out["plans"]]),
+            "aggregates": lambda out, path: write_jsonl(path, out["aggregates"]),
+        },
+        render=render_twin_report,
+    ),
+}
+
+
+def reported_slos() -> FrozenSet[str]:
+    """Every SLO name some drill reports.
+
+    The fabric drill republishes every subsystem's SLO gauges, so its
+    SLO function over an empty registry names them all.
+    """
+    return frozenset(compute_slos(SimpleNamespace(obs=Observability.sim())))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "twin":
-        return twin_main(list(argv[1:]))
     parser = argparse.ArgumentParser(
-        prog="python -m repro.tools.noc", description=__doc__
+        prog="python -m repro.tools.noc", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
+    parser.add_argument("drill", nargs="?", default="fabric", choices=list(DRILLS),
+                        help="which drill to run (default: fabric)")
     parser.add_argument("--seed", type=int, default=0, help="drill seed")
     parser.add_argument("--smoke", action="store_true",
                         help="small fast drill (the CI parameterization)")
-    parser.add_argument("--top", type=int, default=10,
-                        help="slowest spans to show")
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 if any SLO exceeds its threshold")
+                        help="exit 1 on an SLO regression; with --smoke, "
+                             "also on a nondeterministic rerun")
     parser.add_argument("--thresholds", type=Path, default=DEFAULT_THRESHOLDS,
                         help="SLO thresholds JSON")
-    parser.add_argument("--trace-out", type=Path, default=None,
-                        help="write the span tree as JSONL")
-    parser.add_argument("--metrics-out", type=Path, default=None,
-                        help="write the metric snapshot as JSONL")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable summary instead of tables")
+    parser.add_argument("--out-dir", type=Path, default=None,
+                        help="write <drill>-summary.json and the drill's "
+                             "<drill>-<stream>.jsonl artifacts here")
     args = parser.parse_args(argv)
 
-    report = run_fabric_drill(seed=args.seed, smoke=args.smoke)
-    slos = compute_slos(report)
-    thresholds: Dict[str, float] = {}
-    if args.thresholds.exists():
-        thresholds = json.loads(args.thresholds.read_text())
-    slo_rows = check_slos(slos, thresholds)
+    if not args.thresholds.is_file():
+        parser.error(f"thresholds file not found: {args.thresholds}")
+    thresholds: Dict[str, float] = json.loads(args.thresholds.read_text())
+    unknown = sorted(set(thresholds) - reported_slos())
+    if unknown:
+        parser.error(f"{args.thresholds} names SLOs no drill reports: "
+                     + ", ".join(unknown))
 
-    if args.trace_out is not None:
-        export_trace(args.trace_out, report.obs.tracer,
-                     seed=report.seed, smoke=report.smoke)
-    if args.metrics_out is not None:
-        export_metrics(args.metrics_out, report.obs.metrics,
-                       seed=report.seed, smoke=report.smoke)
+    drill = DRILLS[args.drill]
+    result = drill.run(args.seed, args.smoke)
+    summary = drill.summary(result)
+    slos = drill.slos(summary)
+    slo_rows = check_slos(
+        slos, {name: limit for name, limit in thresholds.items() if name in slos}
+    )
+    slo_ok = all(ok for *_, ok in slo_rows)
+    deterministic = True
+    if args.check and args.smoke:
+        # Cheap enough to prove, so prove it: same seed, same summary.
+        deterministic = drill.summary(drill.run(args.seed, args.smoke)) == summary
+        summary["deterministic"] = deterministic
+    summary["slo_ok"] = slo_ok
 
-    if args.json:
-        trace_digest, metrics_digest = report.digests()
-        print(json.dumps({
-            "seed": report.seed,
-            "smoke": report.smoke,
-            "slos": slos,
-            "slo_ok": all(ok for *_, ok in slo_rows),
-            "notes": report.notes,
-            "num_spans": report.obs.tracer.num_spans,
-            "num_series": report.obs.metrics.num_series,
-            "trace_digest": trace_digest,
-            "metrics_digest": metrics_digest,
-        }, indent=2, sort_keys=True))
-    else:
-        render_report(report, slo_rows, top=args.top)
+    drill.render(result, slo_rows)
 
-    if args.check and not all(ok for *_, ok in slo_rows):
+    if args.out_dir is not None:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        (args.out_dir / f"{args.drill}-summary.json").write_text(
+            json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        )
+        for stream, write in drill.streams.items():
+            write(result, args.out_dir / f"{args.drill}-{stream}.jsonl")
+
+    if not args.check:
+        return 0
+    if not slo_ok:
         print("SLO REGRESSION: one or more SLOs exceed their thresholds",
               file=sys.stderr)
-        return 1
-    return 0
+    if not deterministic:
+        print("NONDETERMINISM: the same seed produced a different summary",
+              file=sys.stderr)
+    return 0 if slo_ok and deterministic else 1
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ the streaming time-series layer (:mod:`repro.obs.timeseries`):
   reports predicted SLO deltas *before* ``DurableController`` /
   ``ReplicationGroup`` commits the change;
 - :mod:`repro.twin.drill` is the end-to-end twin drill behind
-  ``python -m repro.tools.noc twin`` and the ``twin-smoke`` CI job.
+  ``python -m repro.tools.noc twin`` and its ``drills`` CI matrix entry.
 
 Everything is sim-clocked and seeded: evaluating the same recorded
 timeline against the same policy twice yields byte-identical

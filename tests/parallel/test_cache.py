@@ -1,13 +1,18 @@
 """Tests for repro.parallel.cache: the content-addressed result store."""
 
 import json
+import pickle
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.obs import Observability
+from repro.optics.mc_sweep import monte_carlo_ber_grid
+from repro.optics.pam4 import Pam4LinkModel
 from repro.parallel.cache import CACHE_SCHEMA_VERSION, ResultCache
+from repro.parallel.engine import SweepEngine
 
 
 class TestKeys:
@@ -171,6 +176,30 @@ class TestOnDisk:
         cache.put(cache.key("t", 1), 1, tag="t")
         cache.put(cache.key("t", 2), 2, tag="t")
         assert [r["created_s"] for r in cache.entries()] == [100.0, 200.0]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_warm_sweep_through_a_reopened_cache_is_all_hits(tmp_path, workers):
+    """The cache contract end to end: a Monte-Carlo BER grid run cold,
+    then warm through a fresh on-disk cache on the same root (real disk
+    lookups, not the first run's memory), gives the same bytes from
+    cache hits alone, at least 5x faster."""
+    powers = np.linspace(-12.0, -6.0, 4)
+
+    def sweep():
+        engine = SweepEngine(workers=workers, cache=ResultCache(tmp_path))
+        start = time.perf_counter()
+        results = monte_carlo_ber_grid(
+            Pam4LinkModel(), powers, num_symbols=20_000, seed=0, engine=engine
+        )
+        return results, time.perf_counter() - start, engine.last_run
+
+    cold, cold_s, cold_run = sweep()
+    warm, warm_s, warm_run = sweep()
+    assert cold_run.computed == len(powers)
+    assert pickle.dumps(list(warm)) == pickle.dumps(list(cold))
+    assert warm_run.computed == 0 and warm_run.cache_hits == len(powers)
+    assert cold_s >= 5.0 * warm_s
 
 
 class TestObservability:

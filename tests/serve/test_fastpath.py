@@ -18,7 +18,8 @@
 - the streaming sink's reorder window stays bounded by in-flight work
   (the flat-memory contract), and its digest equals the full-record
   one; the full sink's column-wise ``RecordLog`` rebuilds exactly the
-  records it packed;
+  records it packed, and its digest, latencies and JSONL rows come
+  straight off the columns;
 - on both commit planes the memoized ``FabricManager.state_digest()``
   equals the from-scratch hash after slice allocs/releases have churned
   the link table, and a run whose memo missed a mutation fails instead
@@ -27,6 +28,7 @@
   count.
 """
 
+import dataclasses
 import hashlib
 import json
 from typing import Dict, Set, Tuple
@@ -48,10 +50,17 @@ from repro.parallel import SweepEngine
 from repro.serve.drill import (
     build_fault_timeline,
     drill_config,
+    report_jsonl_lines,
     run_serve_drill,
     run_serve_drill_sharded,
 )
-from repro.serve.requests import Outcome
+from repro.serve.requests import (
+    Outcome,
+    RequestKind,
+    RequestRecord,
+    TenantRequest,
+    outcomes_digest,
+)
 from repro.serve.service import (
     CommitEntry,
     FabricService,
@@ -59,7 +68,7 @@ from repro.serve.service import (
     build_serve_manager,
     replay_committed,
 )
-from repro.serve.sink import FullRecordSink, StreamingRecordSink
+from repro.serve.sink import FullRecordSink, RecordLog, StreamingRecordSink
 from repro.serve.workload import ServeWorkload
 
 CRASH = FaultKind.CONTROLLER_CRASH
@@ -345,6 +354,61 @@ def test_record_log_rebuilds_every_record():
         assert list(log.outcomes()) == [r.outcome for r in objects]
         with pytest.raises(IndexError):
             log[len(log)]
+
+
+def test_record_log_digest_and_latencies_build_no_records(monkeypatch):
+    """The report's digest, percentiles and JSONL read the columns: with
+    record construction made to raise, they still give the answers the
+    record objects give."""
+    seed, events = case = list(GOLDEN_SMALL)[-1]
+    sink = _KeepObjects()
+    _, report = _small_run(events, seed, sink=sink)
+    objects = sink.objects
+    expected_lines = report_jsonl_lines(report)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a RequestRecord was rebuilt")
+
+    monkeypatch.setattr("repro.serve.sink.RequestRecord", refuse)
+    assert report.outcomes_digest() == outcomes_digest(objects)
+    assert report.outcomes_digest() == GOLDEN_SMALL[case][0]
+    for outcome in Outcome:
+        lat = sorted(r.latency_ms for r in objects if r.outcome is outcome)
+        assert report.records.sorted_latencies_ms(outcome) == lat
+    assert report.latency_percentile_ms(0.99) > 0.0
+    assert report_jsonl_lines(report) == expected_lines
+    with pytest.raises(AssertionError):
+        list(report.records)
+
+
+def test_record_log_digest_orders_equal_seqs_by_id():
+    """Hand-built requests all carry ``seq = -1``; the column digest
+    reorders them by id, as the record-level digest does."""
+    records = [
+        RequestRecord(
+            TenantRequest(f"r{i}", "t-000", RequestKind.TELEMETRY_QUERY,
+                          0.1 * i, 0.1 * i + 1.0, (("n", i),)),
+            Outcome.OK if i % 2 else Outcome.SHED, 0.1 * i + 0.5, i % 3,
+        )
+        for i in (3, 1, 12, 2, 0)
+    ]
+    log = RecordLog(records)
+    assert log.outcomes_digest() == outcomes_digest(records)
+    assert log.sorted_latencies_ms(Outcome.OK) == sorted(
+        r.latency_ms for r in records if r.outcome is Outcome.OK
+    )
+    assert log.sorted_latencies_ms(Outcome.ERROR) == []
+    assert RecordLog().outcomes_digest() == outcomes_digest([])
+
+
+def test_first_count_answers_the_outcome_asked_for():
+    """The first ``count`` fills the per-outcome cache; it must still
+    return the count asked for, not the last record's."""
+    _, report = _small_run((), 0)
+    fresh = dataclasses.replace(report)
+    last = list(report.records.outcomes())[-1]
+    other = next(o for o in Outcome if o is not last and report.count(o) != report.count(last))
+    assert fresh.count(other) == report.count(other)
 
 
 def test_streaming_sink_matches_full_records_and_stays_flat():
