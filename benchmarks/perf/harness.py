@@ -18,6 +18,10 @@ from repro.obs import Observability
 #: stable across machines than absolute wall times).
 REGRESSION_TOLERANCE = 0.30
 
+#: The optimized-vs-oracle numerical contract: every case's result
+#: matches its reference to 1e-12 relative, or the check fails.
+PARITY_RTOL = 1e-12
+
 _BASELINES_PATH = Path(__file__).resolve().parent / "baselines.json"
 _REPORT_PATH = Path(__file__).resolve().parents[2] / "BENCH_PERF.json"
 
@@ -53,15 +57,12 @@ def peak_rss_mb() -> float:
     return round(peak * scale, 3)
 
 
-def run_case(
-    case: PerfCase, smoke: bool, jobs: Optional[int] = None
-) -> Dict[str, object]:
+def run_case(case: PerfCase) -> Dict[str, object]:
     """Build, parity-check, and time one case.
 
     Each stage runs under a wall-clock span so the report entry carries a
     per-phase breakdown; the spans wrap the measurement loops from the
-    outside and never touch the timed callables themselves.  ``jobs``
-    sets the worker count for parallel-sweep cases (None = cpu count).
+    outside and never touch the timed callables themselves.
 
     A case whose ``requires_cores`` exceeds this machine's core count is
     not run at all: a parallel speedup measured on too few cores is
@@ -74,16 +75,13 @@ def run_case(
         return {
             "case": case.name,
             "figure": case.figure,
-            "mode": "smoke" if smoke else "full",
             "skipped": "insufficient_cores",
-            "target_speedup": case.target_speedup,
             "requires_cores": case.requires_cores,
             "cpu_count": available,
-            "jobs": jobs,
         }
     obs = Observability.wall()
     with obs.tracer.span("perf.build", case=case.name):
-        pair = case.build(smoke, jobs)
+        pair = case.build()
     with obs.tracer.span("perf.parity", case=case.name):
         vec_result = pair.vectorized()
         ref_result = pair.reference()
@@ -101,18 +99,15 @@ def run_case(
     return {
         "case": case.name,
         "figure": case.figure,
-        "mode": "smoke" if smoke else "full",
         "size": pair.size,
         "vectorized_s": vec_s,
         "reference_s": ref_s,
         "vectorized_ops_per_s": 1.0 / vec_s,
         "reference_ops_per_s": 1.0 / ref_s,
         "speedup": ref_s / vec_s,
-        "target_speedup": case.target_speedup,
         "parity_max_rel_err": max_rel_err,
         "requires_cores": case.requires_cores,
-        "cpu_count": os.cpu_count() or 1,
-        "jobs": jobs,
+        "cpu_count": available,
         "peak_rss_mb": peak_rss_mb(),
         "phases_s": phases_s,
     }
@@ -128,16 +123,13 @@ def filter_cases(
 
 
 def run_suite(
-    smoke: bool = False,
-    cases: Sequence[PerfCase] = CASES,
-    verbose: bool = True,
-    jobs: Optional[int] = None,
+    cases: Sequence[PerfCase] = CASES, verbose: bool = True
 ) -> List[Dict[str, object]]:
     results = []
     for case in cases:
         if verbose:
-            print(f"[perf] {case.name} ({'smoke' if smoke else 'full'}) ...", flush=True)
-        result = run_case(case, smoke, jobs)
+            print(f"[perf] {case.name} ...", flush=True)
+        result = run_case(case)
         if verbose:
             if result.get("skipped"):
                 print(
@@ -159,15 +151,12 @@ def run_suite(
 
 
 def write_report(
-    results: Sequence[Dict[str, object]],
-    smoke: bool,
-    path: Optional[Path] = None,
+    results: Sequence[Dict[str, object]], path: Optional[Path] = None
 ) -> Path:
     """Write the ``BENCH_PERF.json`` artifact."""
     out = path or _REPORT_PATH
     payload = {
         "suite": "benchmarks/perf",
-        "mode": "smoke" if smoke else "full",
         "regression_tolerance": REGRESSION_TOLERANCE,
         "results": list(results),
     }
@@ -175,39 +164,40 @@ def write_report(
     return out
 
 
-def load_baselines(path: Optional[Path] = None) -> Dict[str, Dict[str, float]]:
+def load_baselines(path: Optional[Path] = None) -> Dict[str, float]:
     source = path or _BASELINES_PATH
     return json.loads(source.read_text())
 
 
 def check_against_baselines(
     results: Sequence[Dict[str, object]],
-    baselines: Optional[Dict[str, Dict[str, float]]] = None,
+    baselines: Optional[Dict[str, float]] = None,
 ) -> List[str]:
-    """Compare measured speedups against the committed baselines.
+    """Check measured parity and speedups against the contract.
 
-    Returns a list of human-readable failures (empty when everything is
-    within tolerance).  A missing baseline entry is itself a failure so
-    new cases must be baselined when added.  Results carrying an
-    explicit ``skipped`` marker (``requires_cores`` gating on a small
-    machine -- a parallel sweep cannot beat its serial oracle on one
-    core) are exempt, so those baselines only bind on CI runners with
-    enough cores.
+    Returns a list of human-readable failures (empty when everything
+    holds).  A case fails when its result diverged from its oracle by
+    more than :data:`PARITY_RTOL`, when its speedup fell more than
+    :data:`REGRESSION_TOLERANCE` below its committed baseline, or when
+    it has no baseline at all (new cases must be baselined when added).
+    Results carrying an explicit ``skipped`` marker (``requires_cores``
+    above this machine's core count) are exempt.
     """
     if baselines is None:
         baselines = load_baselines()
     failures = []
     for result in results:
-        name, mode = str(result["case"]), str(result["mode"])
+        name = str(result["case"])
         if result.get("skipped"):
             continue
-        required = int(result.get("requires_cores", 1) or 1)
-        available = int(result.get("cpu_count", os.cpu_count() or 1) or 1)
-        if available < required:
-            continue
-        baseline = baselines.get(name, {}).get(mode)
+        parity = float(result["parity_max_rel_err"])
+        if not parity <= PARITY_RTOL:
+            failures.append(
+                f"{name}: parity max rel err {parity:.2e} above {PARITY_RTOL:.0e}"
+            )
+        baseline = baselines.get(name)
         if baseline is None:
-            failures.append(f"{name}: no {mode} baseline recorded")
+            failures.append(f"{name}: no baseline recorded")
             continue
         floor = baseline * (1.0 - REGRESSION_TOLERANCE)
         speedup = float(result["speedup"])

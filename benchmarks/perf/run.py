@@ -1,5 +1,9 @@
-"""CLI entry point: ``python -m benchmarks.perf.run [--smoke] [--check]
-[--jobs N] [--filter SUBSTR]``."""
+"""CLI entry point: ``python -m benchmarks.perf.run [--check]
+[--filter SUBSTR] [--output PATH]``.
+
+Runs every case at its one pinned size and writes ``BENCH_PERF.json``;
+``--check`` exits 1 when any case's parity exceeds 1e-12 or its speedup
+regresses more than 30% below ``benchmarks/perf/baselines.json``."""
 
 from __future__ import annotations
 
@@ -18,26 +22,16 @@ from benchmarks.perf.harness import (
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run at reduced CI sizes instead of the pinned full sizes",
-    )
-    parser.add_argument(
         "--check",
         action="store_true",
-        help="fail when any speedup regresses >30%% vs benchmarks/perf/baselines.json",
+        help="fail when any case's parity exceeds 1e-12 or its speedup "
+        "regresses >30%% vs benchmarks/perf/baselines.json",
     )
     parser.add_argument(
         "--output",
         type=Path,
         default=None,
         help="where to write BENCH_PERF.json (default: repo root)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker count for parallel-sweep cases (default: cpu count)",
     )
     parser.add_argument(
         "--filter",
@@ -51,17 +45,17 @@ def main(argv=None) -> int:
     if not cases:
         print(f"[perf] no cases match --filter {args.filter!r}", file=sys.stderr)
         return 2
-    results = run_suite(smoke=args.smoke, cases=cases, jobs=args.jobs)
-    report = write_report(results, smoke=args.smoke, path=args.output)
+    results = run_suite(cases)
+    report = write_report(results, path=args.output)
     print(f"[perf] wrote {report}")
 
     if args.check:
         failures = check_against_baselines(results)
         if failures:
             for failure in failures:
-                print(f"[perf] REGRESSION: {failure}", file=sys.stderr)
+                print(f"[perf] FAIL: {failure}", file=sys.stderr)
             return 1
-        print("[perf] all cases within regression tolerance")
+        print("[perf] every case holds parity and its speedup floor")
     return 0
 
 

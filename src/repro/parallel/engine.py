@@ -61,7 +61,6 @@ from repro.obs import NULL_OBS
 from repro.parallel.cache import ResultCache
 from repro.parallel.canon import fn_identity
 from repro.parallel.shm import (
-    DEFAULT_MIN_BYTES,
     ArenaSpec,
     ShmArena,
     extract_arrays,
@@ -72,6 +71,11 @@ from repro.parallel.shm import (
 _Item = Tuple[int, object, Optional[np.random.SeedSequence]]
 
 _MISSING = object()
+
+#: Pool start method (see :class:`SweepEngine`).
+_START_METHOD = (
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
 
 
 def _apply(fn: Callable, task: object, seed) -> object:
@@ -143,23 +147,22 @@ class SweepEngine:
         cache: optional :class:`ResultCache`; enables per-task result
             caching whenever ``pmap`` is called with a ``cache_tag``.
         obs: optional observability bundle (spans, counters, histogram).
-        mp_context: multiprocessing start method; defaults to ``fork``
-            where available (cheap on Linux), else ``spawn``.  Parallel
-            runs require ``fn`` and tasks to be picklable -- module-level
-            functions and plain-data specs; the serial path has no such
-            constraint.
         ship: ``"pickle"`` ships task specs whole through the pool pipe;
-            ``"shm"`` extracts large ndarrays into one shared-memory
-            arena per call (see :mod:`repro.parallel.shm`) and ships
-            tiny placeholders instead, so a payload referenced by every
-            task crosses the process boundary once instead of once per
-            chunk.  Tasks with no qualifying arrays fall back to plain
-            pickle shipping automatically.  Results are unaffected
-            (workers return values through the normal pipe); cache keys
-            are computed on the original, un-stripped specs, so a cached
-            value is ship-mode independent.
-        shm_min_bytes: minimum ndarray payload size worth a slot in the
-            arena; smaller arrays ride the pickle pipe.
+            ``"shm"`` extracts every ndarray of at least
+            :data:`~repro.parallel.shm.DEFAULT_MIN_BYTES` into one
+            shared-memory arena per call (see :mod:`repro.parallel.shm`)
+            and ships tiny placeholders instead, so a payload referenced
+            by every task crosses the process boundary once instead of
+            once per chunk.  Tasks with no qualifying arrays fall back
+            to plain pickle shipping automatically.  Results are
+            unaffected (workers return values through the normal pipe);
+            cache keys are computed on the original, un-stripped specs,
+            so a cached value is ship-mode independent.
+
+    The pool starts workers with ``fork`` where available (cheap on
+    Linux), else ``spawn``.  Parallel runs require ``fn`` and tasks to be
+    picklable -- module-level functions and plain-data specs; the serial
+    path has no such constraint.
     """
 
     def __init__(
@@ -168,9 +171,7 @@ class SweepEngine:
         chunk_size: Optional[int] = None,
         cache: Optional[ResultCache] = None,
         obs=None,
-        mp_context: Optional[str] = None,
         ship: str = "pickle",
-        shm_min_bytes: int = DEFAULT_MIN_BYTES,
     ) -> None:
         if workers is not None and workers < 1:
             raise ConfigurationError("workers must be >= 1")
@@ -180,21 +181,11 @@ class SweepEngine:
             raise ConfigurationError(
                 f"ship must be 'pickle' or 'shm', got {ship!r}"
             )
-        if shm_min_bytes < 1:
-            raise ConfigurationError("shm_min_bytes must be >= 1")
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         self.chunk_size = chunk_size
         self.cache = cache
         self.obs = obs if obs is not None else NULL_OBS
-        if mp_context is None:
-            mp_context = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-        self.mp_context = mp_context
         self.ship = ship
-        self.shm_min_bytes = shm_min_bytes
         self.last_run = SweepRunStats()
 
     # ------------------------------------------------------------------ #
@@ -292,9 +283,7 @@ class SweepEngine:
             # original specs, so caching is ship-mode independent.
             arena: Optional[ShmArena] = None
             if self.ship == "shm" and pending:
-                stripped, arrays = extract_arrays(
-                    [items[i] for i in pending], self.shm_min_bytes
-                )
+                stripped, arrays = extract_arrays([items[i] for i in pending])
                 if arrays:
                     arena = ShmArena.pack(arrays)
                     stats.shm_arrays = len(arrays)
@@ -319,7 +308,7 @@ class SweepEngine:
 
             try:
                 if parallel:
-                    ctx = multiprocessing.get_context(self.mp_context)
+                    ctx = multiprocessing.get_context(_START_METHOD)
                     with ctx.Pool(
                         processes=min(self.workers, len(chunks))
                     ) as pool:

@@ -41,7 +41,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.errors import ConfigurationError, ServeError
+from repro.core.errors import ServeError
 from repro.obs.metrics import Histogram, exponential_bounds
 from repro.serve.queueing import ShedRecord
 from repro.serve.requests import (
@@ -287,11 +287,7 @@ class StreamingRecordSink:
     contract), because the incremental digest orders by seq.
     """
 
-    def __init__(
-        self, seed: int = 0, reservoir_size: int = DEFAULT_RESERVOIR_SIZE
-    ) -> None:
-        if reservoir_size < 1:
-            raise ConfigurationError("reservoir size must be positive")
+    def __init__(self, seed: int = 0) -> None:
         self._hash = hashlib.sha256()
         self._frontier: List[int] = []  # offered seqs, min-heap
         self._pending: Dict[int, bytes] = {}  # decided, awaiting flush
@@ -299,7 +295,6 @@ class StreamingRecordSink:
         self._hists: Dict[Outcome, Histogram] = {}
         self._rng = np.random.default_rng(seed)
         self._reservoir: List[Tuple[float, float, str]] = []
-        self._reservoir_size = reservoir_size
         self._uniforms: np.ndarray = np.empty(0)
         self._uniform_index = 0
         self._seen = 0
@@ -357,7 +352,7 @@ class StreamingRecordSink:
         self._seen += 1
         entry = (finish_s, latency_ms, outcome.value)
         reservoir = self._reservoir
-        if len(reservoir) < self._reservoir_size:
+        if len(reservoir) < DEFAULT_RESERVOIR_SIZE:
             reservoir.append(entry)
             return
         # Algorithm R with the randomness drawn in blocks: one vectorized
@@ -370,7 +365,7 @@ class StreamingRecordSink:
             index = 0
         self._uniform_index = index + 1
         slot = int(uniforms[index] * self._seen)
-        if slot < self._reservoir_size:
+        if slot < DEFAULT_RESERVOIR_SIZE:
             reservoir[slot] = entry
 
     def shed(self, shed: ShedRecord) -> None:

@@ -194,6 +194,39 @@ class TestOverloadBehaviors:
         assert batched_ok > 0
         assert replay_committed(config, report.commit_log) == report.state_digest
 
+    def test_pinned_brownout_never_changes_committed_state(self):
+        # A telemetry-heavy soak with no retargeting ops: brownout 2 only
+        # changes how telemetry is answered (cached vs a fresh digest),
+        # so both levels commit the same intents in the same order.
+        requests = ServeWorkload(
+            seed=7, rate_per_s=250.0, num_tenants=64,
+            mix={RequestKind.TELEMETRY_QUERY: 0.92, RequestKind.SLICE_ALLOC: 0.08},
+            deadlines_s={
+                RequestKind.TELEMETRY_QUERY: 5.0,
+                RequestKind.SLICE_ALLOC: 5.0,
+                RequestKind.SLICE_RELEASE: 5.0,
+            },
+            slice_cubes=(1, 2),
+            slice_hold_mean_s=1.0,
+        ).generate(600)
+
+        def soak(level):
+            config = ServeConfig(
+                num_tenants=64,
+                global_rate_per_s=10_000.0, global_burst=2_000.0,
+                tenant_rate_per_s=1_000.0, tenant_burst=200.0,
+                queue_capacity=4_096, pinned_brownout=level, seed=7,
+            )
+            return FabricService(config).run(requests)
+
+        fresh, cached = soak(0), soak(2)
+        assert cached.telemetry_cache_hits > 0
+        assert fresh.commit_log, "the soak must commit slice allocations"
+        assert cached.state_digest == fresh.state_digest
+        assert [e.canonical() for e in cached.commit_log] == [
+            e.canonical() for e in fresh.commit_log
+        ]
+
 
 class TestConfigValidation:
     def test_tenant_circuit_mapping_is_collision_free(self):

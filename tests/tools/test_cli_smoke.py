@@ -199,3 +199,54 @@ class TestNocTwinCli:
             "twin", "--smoke", "--check", "--thresholds", str(tight)
         ]) == 1
         assert "REGRESS" in capsys.readouterr().out
+
+
+class TestNocAcrossProcesses:
+    def test_artifacts_are_byte_identical_across_hash_seeds(self, tmp_path):
+        """Every drill's artifacts are the same bytes in two interpreters
+        with different string hashing.  In-process reruns (``--check``)
+        share one hash seed, so set- or dict-order leaks slip past them."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        script = (
+            "import sys\n"
+            "from repro.tools.noc import DRILLS, main\n"
+            "for drill in DRILLS:\n"
+            "    assert main([drill, '--smoke', '--out-dir', sys.argv[1]]) == 0\n"
+        )
+        out_dirs, procs = [], []
+        for hash_seed in ("1", "2"):
+            out_dir = tmp_path / f"hashseed-{hash_seed}"
+            env = {
+                **os.environ,
+                "PYTHONHASHSEED": hash_seed,
+                "PYTHONPATH": os.pathsep.join(
+                    filter(None, [src, os.environ.get("PYTHONPATH")])
+                ),
+            }
+            procs.append(subprocess.Popen(
+                [sys.executable, "-c", script, str(out_dir)], env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            ))
+            out_dirs.append(out_dir)
+        try:
+            outputs = [proc.communicate(timeout=300) for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()
+        for proc, (_, err) in zip(procs, outputs):
+            assert proc.returncode == 0, err.decode()
+        names = sorted(p.name for p in out_dirs[0].iterdir())
+        assert names == sorted(p.name for p in out_dirs[1].iterdir())
+        assert {name.split("-")[0] for name in names} == set(DRILLS)
+        for name in names:
+            assert (out_dirs[0] / name).read_bytes() == (
+                out_dirs[1] / name
+            ).read_bytes(), f"{name} differs across hash seeds"
+        assert outputs[0][0] == outputs[1][0], "drill reports differ"
