@@ -13,7 +13,7 @@ pinned in tier-1 by the kernel's own property suite
 import json
 
 from benchmarks.perf import run
-from benchmarks.perf.cases import CASES
+from benchmarks.perf.cases import CASES, CasePair, PerfCase
 from benchmarks.perf.harness import (
     PARITY_RTOL,
     check_against_baselines,
@@ -92,6 +92,42 @@ def test_run_case_emits_skip_record_on_small_machines(monkeypatch):
     assert record["cpu_count"] == 1
     assert "speedup" not in record
     assert check_against_baselines([record]) == []
+
+
+def test_run_case_times_a_slow_path_from_its_parity_call(monkeypatch):
+    """A thunk whose parity-pass call already takes at least the slow
+    threshold (2 s) is measured by that call and never run again; the
+    clock is faked so the test takes no real time."""
+    from benchmarks.perf import harness
+
+    clock = [0.0]
+    calls = {"vectorized": 0, "reference": 0}
+
+    def thunk(name, seconds):
+        def call():
+            calls[name] += 1
+            clock[0] += seconds
+            return name
+
+        return call
+
+    monkeypatch.setattr(harness.timeit, "default_timer", lambda: clock[0])
+    slow = PerfCase(
+        name="fake_slow",
+        figure="none",
+        build=lambda: CasePair(
+            vectorized=thunk("vectorized", 2.0),
+            reference=thunk("reference", 25.0),
+            parity=lambda a, b: 0.0,
+            size={},
+        ),
+    )
+    record = harness.run_case(slow)
+    assert calls == {"vectorized": 1, "reference": 1}
+    assert record["vectorized_s"] == 2.0
+    assert record["reference_s"] == 25.0
+    assert record["speedup"] == 12.5
+    assert record["parity_max_rel_err"] == 0.0
 
 
 def test_cli_check_exits_nonzero_on_parity_failure(monkeypatch, tmp_path):

@@ -10,11 +10,11 @@ flow completion time" result.
 Two implementations of the event loop coexist:
 
 - :meth:`FlowSimulator.run` -- the **incremental water-filling engine**.
-  Per-link active counts, the per-flow rate vector, and a completion
-  calendar persist across events; an arrival/departure re-solves only
-  the connected component of the flow/link interaction graph reachable
-  from the touched links (the affected-subgraph trick), falling back to
-  one vectorized :meth:`_IncidenceSystem.fill_rates` solve of the whole
+  Per-link sets of active flows, the per-flow rate vector, and a
+  completion calendar persist across events; an arrival/departure
+  re-solves only the connected component of the flow/link interaction
+  graph reachable from the touched links (the affected-subgraph trick),
+  falling back to one vectorized :meth:`_IncidenceSystem.fill_rates` solve of the whole
   active set when that frontier exceeds :data:`_INCREMENTAL_MAX_FRONTIER`
   flows.  Max-min progressive filling decomposes exactly over
   components -- the per-link subtraction sequence is identical whether a
@@ -31,7 +31,7 @@ The allocation kernels follow the same pattern:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,7 +56,7 @@ RateProbe = Callable[[float, Dict[int, float]], None]
 #: Allocations are identical either way; this bounds the Python frontier
 #: walk so dense, all-connected workloads degrade gracefully to the
 #: vectorized full solve.  Read at every :meth:`FlowSimulator.run` call,
-#: so tests and the perf harness can force fallbacks by patching it.
+#: so tests can force fallbacks by patching it.
 _INCREMENTAL_MAX_FRONTIER = 96
 
 #: Relative half-width of the calendar's pop re-evaluation window.  Heap
@@ -107,28 +107,15 @@ def _links_of(path: Tuple[int, ...]) -> List[Link]:
 
 
 class _IncidenceSystem:
-    """A link x flow incidence structure in flat CSR arrays.
+    """A link x flow incidence structure in flat arrays.
 
     ``flat`` holds the link index of every (flow, link) membership and
     ``owner`` the flow index of the same entry, both ``int32`` so 65k-port
-    link sets stay hot in cache.  Entries are indexed both ways --
-    grouped by flow (``flow_start``/``flow_len``) and, lazily, by link
-    (``link_start``/``link_len``/``link_owner``) -- so per-link active
-    counts are one ``np.bincount`` pass, each filling round touches only
-    the entries it actually freezes, and the incremental engine can walk
-    link -> flows adjacency without rebuilding anything.  Built once and
-    reused across events by the simulator.
+    link sets stay hot in cache.  Built once and reused across events by
+    the simulator.
     """
 
-    __slots__ = (
-        "flat",
-        "owner",
-        "num_flows",
-        "capacity",
-        "flow_start",
-        "flow_len",
-        "_link_csr",
-    )
+    __slots__ = ("flat", "owner", "num_flows", "capacity")
 
     def __init__(self, cols: Sequence[np.ndarray], capacity: np.ndarray) -> None:
         self.num_flows = len(cols)
@@ -142,36 +129,21 @@ class _IncidenceSystem:
         else:
             self.flat = np.empty(0, dtype=np.int32)
             self.owner = np.empty(0, dtype=np.int32)
-        self.flow_len = lens
-        self.flow_start = np.concatenate(
-            ([0], np.cumsum(lens[:-1]))
-        ).astype(np.int32) if len(cols) else np.empty(0, dtype=np.int32)
-        self._link_csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-
-    def link_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(link_start, link_len, link_owner)``: entries grouped by link."""
-        if self._link_csr is None:
-            num_links = self.capacity.size
-            order = np.argsort(self.flat, kind="stable")
-            link_owner = self.owner[order]
-            link_len = np.bincount(self.flat, minlength=num_links).astype(np.int32)
-            link_start = np.zeros(num_links, dtype=np.int64)
-            np.cumsum(link_len[:-1], out=link_start[1:])
-            self._link_csr = (link_start, link_len, link_owner)
-        return self._link_csr
 
     def fill_rates(self, active: np.ndarray) -> np.ndarray:
         """Progressive-filling max-min allocation over the active flows.
 
-        Entries are compacted to the active flows once; every round then
-        computes per-link active counts and fair shares as array ops.
-        Every link exactly at the minimum share saturates in the same
-        round -- freezing tied bottlenecks together matches
-        one-at-a-time progressive filling, since removing one tied link's
-        flows leaves every other tied link's share unchanged
-        ((c - k*s) / (n - k) == s when c/n == s).  Returns a rate per
-        flow (0.0 for inactive flows and for flows starved by a
-        zero-capacity link).
+        Entries are compacted once to the active flows, renumbered into
+        their local index space; per-link counts start as one
+        ``np.bincount`` and each round subtracts what it froze, and the
+        frozen entries are dropped, so every round costs only the
+        entries still unfrozen.  Every link exactly at the minimum share
+        saturates in the same round -- freezing tied bottlenecks
+        together matches one-at-a-time progressive filling, since
+        removing one tied link's flows leaves every other tied link's
+        share unchanged ((c - k*s) / (n - k) == s when c/n == s).
+        Returns a rate per flow (0.0 for inactive flows and for flows
+        starved by a zero-capacity link).
         """
         num_links = self.capacity.size
         rates = np.zeros(self.num_flows)
@@ -181,26 +153,29 @@ class _IncidenceSystem:
         # NumPy re-casts non-intp index arrays on every use -- one
         # up-front cast of the compacted entries wins it back.
         flat = self.flat[selected].astype(np.intp, copy=False)
-        owner = self.owner[selected].astype(np.intp, copy=False)
         if not flat.size:
             return rates
+        local = np.cumsum(active) - 1
+        owner = local[self.owner[selected]]
+        local_rates = np.zeros(int(local[-1]) + 1)
         remaining = self.capacity.copy()
-        alive = np.ones(flat.size, dtype=bool)
-        while alive.any():
-            counts = np.bincount(flat[alive], minlength=num_links)
+        counts = np.bincount(flat, minlength=num_links)
+        while flat.size:
             used = counts > 0
             share = np.where(used, remaining / np.where(used, counts, 1), np.inf)
             fair = share.min()
-            frozen = np.zeros(self.num_flows, dtype=bool)
-            frozen[owner[(share == fair)[flat] & alive]] = True
-            entries = frozen[owner] & alive
+            frozen = np.zeros(local_rates.size, dtype=bool)
+            frozen[owner[(share == fair)[flat]]] = True
+            entries = frozen[owner]
             decrement = np.bincount(flat[entries], minlength=num_links)
             remaining -= fair * decrement
             np.maximum(remaining, 0.0, out=remaining)
-            rates[frozen] = fair
-            # Frozen entries are a subset of the alive ones, so XOR
-            # removes them in place without a temporary.
-            alive ^= entries
+            counts -= decrement
+            local_rates[frozen] = fair
+            keep = ~entries
+            flat = flat[keep]
+            owner = owner[keep]
+        rates[active] = local_rates
         return rates
 
 
@@ -382,17 +357,21 @@ class FlowSimulator:
         arriving/completing flow's links through shared active links --
         not to the whole active set:
 
-        - per-link active counts, the rate vector, and each flow's
-          remaining volume persist across events;
-        - an arrival/departure walks the affected component and re-runs
-          progressive filling on it alone (max-min allocations decompose
-          exactly over components, so this is bit-identical to a full
-          per-event solve);
+        - the flows active on each link, the rate vector, and each
+          flow's remaining volume persist across events;
+        - an arrival/departure walks the affected component -- visiting
+          only flows active now, so the cost tracks live work, not the
+          flows already finished -- and re-runs progressive filling on
+          it alone (max-min allocations decompose exactly over
+          components, so this is bit-identical to a full per-event
+          solve);
         - when the walk exceeds :data:`_INCREMENTAL_MAX_FRONTIER` flows
           it falls back to one vectorized full solve for that event;
         - projected completions live in an indexed heap with lazy
           invalidation (absolute finish times are invariant while a
-          flow's rate is unchanged); pops re-evaluate an epsilon-window
+          flow's rate is unchanged); a full-solve fallback rebuilds the
+          heap in one pass from every positive-rate active flow, so no
+          stale entry outlives it; pops re-evaluate an epsilon-window
           of candidates with the oracle's exact arithmetic, so the
           winning flow and its finish time are bit-identical to the
           per-event argmin of :meth:`run_reference`.
@@ -407,24 +386,21 @@ class FlowSimulator:
         system = _IncidenceSystem(
             [np.asarray(c, dtype=np.int32) for c in cols_py], cap_vector
         )
-        link_start_np, link_len_np, link_owner_np = system.link_csr()
-        # Python-side mirrors: the frontier walk and small-component
-        # fills run on plain ints/floats -- at typical component sizes
-        # (a handful of flows) interpreter ops beat NumPy call overhead.
-        link_start_py = link_start_np.tolist()
-        link_len_py = link_len_np.tolist()
-        link_owner_py = link_owner_np.tolist()
+        # The frontier walk and small-component fills run on plain
+        # ints/floats -- at typical component sizes (a handful of flows)
+        # interpreter ops beat NumPy call overhead.
         capacity_py = cap_vector.tolist()
         arrivals_py = [f.arrival_s for f in ordered]
 
         active_np = np.zeros(num_flows, dtype=bool)
-        active_py = bytearray(num_flows)
         remaining = np.zeros(num_flows)
         start = np.zeros(num_flows)
         rates = np.zeros(num_flows)
         version = [0] * num_flows
         heap: List[Tuple[float, int, int]] = []
-        link_active = [0] * num_links
+        # The flows active on each link now, in arrival order: the walk
+        # never visits a flow that has finished or not yet arrived.
+        link_flows: List[Dict[int, None]] = [{} for _ in range(num_links)]
         # Compact active-index array (swap-remove) for the sparse drain.
         act_idx = np.empty(num_flows, dtype=np.int32)
         act_pos = [0] * num_flows
@@ -461,13 +437,8 @@ class FlowSimulator:
                     stack.append(l)
             overflow = False
             while stack:
-                l = stack.pop()
-                if not link_active[l]:
-                    continue
-                s = link_start_py[l]
-                for k in range(s, s + link_len_py[l]):
-                    o = link_owner_py[k]
-                    if flow_seen[o] or not active_py[o]:
+                for o in link_flows[stack.pop()]:
+                    if flow_seen[o]:
                         continue
                     flow_seen[o] = 1
                     comp_flows.append(o)
@@ -534,18 +505,16 @@ class FlowSimulator:
                 fallback_ctr.inc()
                 frontier_hist.observe(float(num_active))
                 dirty_hist.observe(1.0)
-                new = system.fill_rates(active_np)
-                changed = np.flatnonzero(new != rates)
-                rates[:] = new
-                for ii in changed.tolist():
-                    version[ii] += 1
-                    r = new[ii]
-                    if r > 0.0:
-                        push_ctr.inc()
-                        heappush(
-                            heap,
-                            (now + float(remaining[ii]) / float(r), ii, version[ii]),
-                        )
+                rates[:] = system.fill_rates(active_np)
+                # Rebuild the calendar from every live flow in one pass:
+                # it drops all stale entries, so versions need no bump.
+                sel = act_idx[:num_active]
+                sel = sel[rates[sel] > 0.0]
+                keys = now + remaining[sel] / rates[sel]
+                sel_py = sel.tolist()
+                heap[:] = zip(keys.tolist(), sel_py, [version[i] for i in sel_py])
+                heapify(heap)
+                push_ctr.inc(len(heap))
                 return
             comp_flows, _comp_links = comp
             frontier_hist.observe(float(len(comp_flows)))
@@ -621,14 +590,13 @@ class FlowSimulator:
                 i = cursor
                 cursor += 1
                 active_np[i] = True
-                active_py[i] = 1
                 act_pos[i] = num_active
                 act_idx[num_active] = i
                 num_active += 1
                 remaining[i] = ordered[i].size_gbit
                 start[i] = now
                 for l in cols_py[i]:
-                    link_active[l] += 1
+                    link_flows[l][i] = None
                 reallocate(i)
             else:
                 finish_t, w = nf
@@ -637,14 +605,13 @@ class FlowSimulator:
                 remaining[sel] -= rates[sel] * elapsed
                 now = finish_t
                 active_np[w] = False
-                active_py[w] = 0
                 p = act_pos[w]
                 last = int(act_idx[num_active - 1])
                 act_idx[p] = last
                 act_pos[last] = p
                 num_active -= 1
                 for l in cols_py[w]:
-                    link_active[l] -= 1
+                    del link_flows[l][w]
                 version[w] += 1
                 rates[w] = 0.0
                 records.append(

@@ -137,6 +137,28 @@ class TestEventBoundaryParity:
             recs_full = FlowSimulator(fabric, routing, seed=7).run(flows)
         _assert_records_equal(recs, recs_full)
 
+    def test_sparse_metro_with_long_history_matches_full_solve(self):
+        # Few flows live at once, thousands already finished: the regime
+        # where a walk over every flow that ever used a link would cost
+        # O(history) per event.  The walk visits live flows only; its
+        # allocations must still equal one full solve per event.
+        fabric, routing, demand = _metro_routing(64, seed=17)
+        flows = generate_flows(
+            demand, 2_000, mean_size_gbit=15.0, duration_s=40.0, seed=23
+        )
+        ev_inc, p_inc = _capture()
+        ev_full, p_full = _capture()
+        recs = FlowSimulator(fabric, routing, seed=7).run(flows, rate_probe=p_inc)
+        with _frontier(0):
+            recs_full = FlowSimulator(fabric, routing, seed=7).run(
+                flows, rate_probe=p_full
+            )
+        _assert_event_streams_equal(ev_inc, ev_full)
+        _assert_records_equal(recs, recs_full)
+        last_arrival = max(f.arrival_s for f in flows)
+        assert sum(r.finish_s < last_arrival for r in recs) >= 1_000
+        assert max(len(rates) for _, rates in ev_inc) <= 32
+
 
 def _metro_routing(blocks, seed):
     """A synthetic engineered metro at ``blocks`` x 64 uplinks.
@@ -237,20 +259,22 @@ class TestTiesAndStarvation:
         class Sim(_RiggedCapacitySim):
             _rigged = {link: 0.0 for link in baseline}
 
-        streams = []
-        for method in ("run", "run_reference"):
+        ref_events, probe = _capture()
+        with pytest.raises(ConfigurationError, match="deadlock"):
+            Sim(fabric, routing, seed=3).run_reference(flows, rate_probe=probe)
+        # Every probed rate is 0.0.
+        assert all(r == 0.0 for _, rates in ref_events for r in rates.values())
+        # The engine starves identically and observes the same event
+        # boundaries before giving up -- incrementally, and with every
+        # event a full solve whose calendar rebuild must leave the
+        # starved flows out.
+        for frontier in (flowsim._INCREMENTAL_MAX_FRONTIER, 0, 1):
             events, probe = _capture()
-            with pytest.raises(ConfigurationError, match="deadlock"):
-                getattr(Sim(fabric, routing, seed=3), method)(
-                    flows, rate_probe=probe
-                )
-            streams.append(events)
-        # Both starved identically (every probed rate is 0.0) and
-        # observed the same event boundaries before giving up.
-        _assert_event_streams_equal(streams[0], streams[1])
-        assert all(
-            r == 0.0 for _, rates in streams[1] for r in rates.values()
-        )
+            with _frontier(frontier), pytest.raises(
+                ConfigurationError, match="deadlock"
+            ):
+                Sim(fabric, routing, seed=3).run(flows, rate_probe=probe)
+            _assert_event_streams_equal(events, ref_events)
 
     def test_partial_starvation_matches_at_every_event(self):
         # Only some links die: flows over dead links pin at 0.0 while
@@ -266,8 +290,7 @@ class TestTiesAndStarvation:
         class Sim(_RiggedCapacitySim):
             _rigged = {link: 0.0 for link in dead}
 
-        streams, finished = [], []
-        for method in ("run", "run_reference"):
+        def simulate(method):
             events, probe = _capture()
             try:
                 recs = getattr(Sim(fabric, routing, seed=3), method)(
@@ -275,16 +298,22 @@ class TestTiesAndStarvation:
                 )
             except ConfigurationError:
                 recs = None
-            streams.append(events)
-            finished.append(recs)
-        _assert_event_streams_equal(streams[0], streams[1])
-        assert (finished[0] is None) == (finished[1] is None)
-        if finished[1] is not None:
-            _assert_records_equal(finished[0], finished[1])
+            return events, recs
+
+        ref_events, ref_recs = simulate("run_reference")
         # Starvation genuinely occurred at some boundary.
         assert any(
-            any(r == 0.0 for r in rates.values()) for _, rates in streams[1]
+            any(r == 0.0 for r in rates.values()) for _, rates in ref_events
         )
+        # Frontiers 0 and 1 rebuild the calendar on (nearly) every
+        # event, alongside flows that keep draining.
+        for frontier in (flowsim._INCREMENTAL_MAX_FRONTIER, 0, 1):
+            with _frontier(frontier):
+                events, recs = simulate("run")
+            _assert_event_streams_equal(events, ref_events)
+            assert (recs is None) == (ref_recs is None)
+            if ref_recs is not None:
+                _assert_records_equal(recs, ref_recs)
 
 
 class TestIncrementalInstrumentation:
@@ -316,3 +345,15 @@ class TestIncrementalInstrumentation:
         FlowSimulator(fabric, routing, seed=3, obs=obs).run(flows)
         pushes = obs.metrics.value("flowsim.calendar.pushes")
         assert 0.0 < pushes
+        # With fallbacks in the mix, each full solve rebuilds the
+        # calendar from the live flows, discarding every stale entry
+        # instead of leaving it to be popped: stale pops stay rare.
+        obs = Observability.sim()
+        with _frontier(8):
+            FlowSimulator(fabric, routing, seed=3, obs=obs).run(flows)
+        m = obs.metrics
+        assert m.value("flowsim.full_solve_fallbacks") > 0.0
+        stale_share = m.value("flowsim.calendar.stale_pops") / m.value(
+            "flowsim.calendar.pushes"
+        )
+        assert stale_share < 0.05

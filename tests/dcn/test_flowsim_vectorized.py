@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from repro.dcn.flowsim import (
     FlowSimulator,
+    _IncidenceSystem,
+    _index_links,
     generate_flows,
     max_min_rates,
     max_min_rates_reference,
@@ -62,6 +64,42 @@ class TestMaxMinRates:
         assert vec.keys() == ref.keys()
         for fid in ref:
             assert vec[fid] == pytest.approx(ref[fid], rel=RTOL, abs=1e-300)
+
+    @given(
+        seeds,
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=12),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_fill_rates_on_partial_masks(self, seed, flows, links, p_active, zero_cap):
+        """``fill_rates`` solves the masked flows in their own compact
+        index space: the active flows get the oracle's allocation for
+        them alone, every inactive flow exactly 0.0."""
+        rng = np.random.default_rng(seed)
+        flow_paths, capacity = _random_instance(rng, flows, links, zero_cap, True)
+        link_index, cap_vector = _index_links(flow_paths, capacity)
+        system = _IncidenceSystem(
+            [
+                np.array([link_index[l] for l in path], dtype=np.int32)
+                for path in flow_paths.values()
+            ],
+            cap_vector,
+        )
+        active = rng.random(flows) < p_active
+        rates = system.fill_rates(active)
+        ref = max_min_rates_reference(
+            {fid: path for fid, path in flow_paths.items() if active[fid]}, capacity
+        )
+        for fid in flow_paths:
+            if not active[fid]:
+                assert rates[fid] == 0.0
+            elif not flow_paths[fid]:
+                # No links: the oracle leaves it unallocated.
+                assert fid not in ref and rates[fid] == 0.0
+            else:
+                assert rates[fid] == pytest.approx(ref[fid], rel=RTOL, abs=1e-300)
 
     def test_shared_bottleneck_splits_evenly(self):
         link = (0, 1)
