@@ -30,7 +30,7 @@ The allocation kernels follow the same pattern:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -39,7 +39,7 @@ import numpy as np
 from repro.core.errors import ConfigurationError
 from repro.dcn.spinefree import SpineFreeFabric
 from repro.dcn.traffic_engineering import RoutingSolution
-from repro.obs import NULL_OBS, resolve_obs
+from repro.obs import resolve_obs
 
 Link = Tuple[int, int]
 
@@ -538,7 +538,9 @@ class FlowSimulator:
             Pops every live entry within the drift window of the top and
             recomputes ``now + remaining/rate`` (the oracle's formula on
             the eagerly-drained state); ties resolve to the lowest flow
-            index, matching the reference argmin."""
+            index, matching the reference argmin.  The other candidates
+            go back re-keyed; the winner stays out, for the caller to
+            retire or push back."""
             while heap and heap[0][2] != version[heap[0][1]]:
                 heappop(heap)
                 stale_ctr.inc()
@@ -562,7 +564,9 @@ class FlowSimulator:
                 if t < best_t or (t == best_t and i < best_i):
                     best_t, best_i = t, i
             for t, i in fresh:
-                heappush(heap, (t, i, version[i]))
+                if i != best_i:
+                    heappush(heap, (t, i, version[i]))
+            push_ctr.inc(len(fresh) - 1)
             return best_t, best_i
 
         while cursor < num_flows or num_active > 0:
@@ -578,6 +582,9 @@ class FlowSimulator:
             next_arrival = arrivals_py[cursor] if cursor < num_flows else inf
             nf = next_finish()
             if nf is None or next_arrival <= nf[0]:
+                if nf is not None:
+                    push_ctr.inc()
+                    heappush(heap, (nf[0], nf[1], version[nf[1]]))
                 if cursor >= num_flows:
                     raise ConfigurationError(
                         "deadlock: active flows with zero rate and no arrivals"

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -55,14 +55,6 @@ class CacheStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "stores": float(self.stores),
-            "hit_rate": self.hit_rate,
-        }
 
 
 class ResultCache:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-from typing import Iterable, List
+from typing import List
 
 import numpy as np
 
@@ -118,12 +118,3 @@ def fn_identity(fn: object) -> str:
         fn, "__name__", type(fn).__qualname__
     )
     return f"{module}.{qualname}"
-
-
-def digest_many(parts: Iterable[str]) -> str:
-    """One SHA-256 over an ordered sequence of hex digests/strings."""
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(part.encode("utf-8"))
-        h.update(b"\n")
-    return h.hexdigest()

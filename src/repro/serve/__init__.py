@@ -12,9 +12,6 @@ Entry points:
   serve phase (``streaming=True`` swaps the
   per-record report for a :class:`~repro.serve.sink.StreamingRecordSink`
   roll-up, flat in memory at 10^6 requests);
-- :func:`~repro.serve.drill.run_serve_drill_sharded` -- the same drill
-  partitioned into tenant cells and fanned out over
-  :class:`~repro.parallel.SweepEngine`, merged deterministically;
 - :func:`~repro.serve.drill.run_failover_drill` -- the replicated
   control plane (``num_controller_replicas > 1``) riding out a rolling
   crash / partition / clock-skew storm via lease-based failover
@@ -28,11 +25,8 @@ from repro.serve.drill import (
     build_failover_timeline,
     drill_config,
     failover_slos,
-    merge_cell_results,
     run_failover_drill,
     run_serve_drill,
-    run_serve_drill_sharded,
-    shard_cell_config,
 )
 from repro.serve.queueing import BoundedPriorityQueue, ShedRecord
 from repro.serve.requests import (
@@ -81,11 +75,8 @@ __all__ = [
     "build_serve_manager",
     "drill_config",
     "failover_slos",
-    "merge_cell_results",
     "outcomes_digest",
     "replay_committed",
     "run_failover_drill",
     "run_serve_drill",
-    "run_serve_drill_sharded",
-    "shard_cell_config",
 ]

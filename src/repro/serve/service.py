@@ -1040,10 +1040,9 @@ class FabricService:
         INF = math.inf
         queue = self.queue
         maintenance_interval_s = self.config.maintenance_interval_s
-        length = len(requests) if hasattr(requests, "__len__") else -1
         stream = iter(requests)
         next_request = next(stream, None)
-        with self.obs.tracer.span("serve.run", requests=length):
+        with self.obs.tracer.span("serve.run") as span:
             now = 0.0
             server_free = 0.0
             next_maintenance = maintenance_interval_s
@@ -1126,6 +1125,7 @@ class FabricService:
             advance(max(now, server_free))
             if self.replication is not None:
                 self.replication.finalize_outage(max(now, server_free))
+            span.set_attr("requests", self._offered)
 
             if self._sink.total_recorded != self._offered:
                 raise ServeError(

@@ -12,9 +12,8 @@ service now writes outcomes through a sink:
   the memory of the record objects;
 - :class:`StreamingRecordSink` keeps memory flat at any stream length:
   an *incremental* outcomes digest over a bounded seq-reorder window,
-  per-outcome counts, fine-grained latency histograms (the percentile
-  substrate), and a seeded bounded reservoir of latency samples that can
-  feed :mod:`repro.obs.timeseries` afterwards.
+  per-outcome counts, and fine-grained latency histograms (the
+  percentile substrate).
 
 **Incremental digest.**  ``outcomes_digest`` hashes canonical outcome
 lines sorted by ``(seq, request_id)``.  Outcomes are *decided* out of
@@ -35,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -58,10 +57,6 @@ from repro.serve.requests import (
 LATENCY_BOUNDS_MS: Tuple[float, ...] = exponential_bounds(
     start=0.01, factor=1.04, count=490
 )
-
-#: Default reservoir size: enough samples for stable p99 estimates of a
-#: drill-scale stream, small enough to be irrelevant at 10⁶ requests.
-DEFAULT_RESERVOIR_SIZE = 4096
 
 
 class RecordLog(Sequence[RequestRecord]):
@@ -255,9 +250,6 @@ class StreamAggregates:
     outcome_counts: Dict[Outcome, int]
     outcomes_digest: str
     latency_hists: Dict[Outcome, Histogram]
-    #: Seeded reservoir of (finish_s, latency_ms, outcome value) samples
-    #: -- the :mod:`repro.obs.timeseries` feed.
-    samples: List[Tuple[float, float, str]] = field(default_factory=list)
     shed_count: int = 0
     peak_pending: int = 0
     total: int = 0
@@ -271,33 +263,23 @@ class StreamAggregates:
             return 0.0
         return hist.quantile(q)
 
-    def timeseries_rows(self) -> List[Dict[str, object]]:
-        """Reservoir samples as JSONL-ready rows for the twin pipeline."""
-        return [
-            {"t_s": t, "latency_ms": lat, "outcome": outcome}
-            for t, lat, outcome in self.samples
-        ]
-
 
 class StreamingRecordSink:
     """Flat-memory aggregation of an arbitrarily long outcome stream.
 
     Requires workload-assigned seqs: every offered request must carry a
     unique ``seq >= 0`` (the :class:`~repro.serve.workload.ServeWorkload`
-    contract), because the incremental digest orders by seq.
+    contract), because the incremental digest orders by seq.  ``seed``
+    is accepted and unused: the sink draws no randomness.
     """
 
     def __init__(self, seed: int = 0) -> None:
+        del seed
         self._hash = hashlib.sha256()
         self._frontier: List[int] = []  # offered seqs, min-heap
         self._pending: Dict[int, bytes] = {}  # decided, awaiting flush
         self._counts: Dict[Outcome, int] = {o: 0 for o in Outcome}
         self._hists: Dict[Outcome, Histogram] = {}
-        self._rng = np.random.default_rng(seed)
-        self._reservoir: List[Tuple[float, float, str]] = []
-        self._uniforms: np.ndarray = np.empty(0)
-        self._uniform_index = 0
-        self._seen = 0
         self._shed_count = 0
         self._total = 0
         self.peak_pending = 0
@@ -339,7 +321,6 @@ class StreamingRecordSink:
             0.0, (record.finish_s - record.request.arrival_s) * 1e3
         )
         hist.observe(latency_ms)
-        self._sample(record.finish_s, latency_ms, outcome)
         # Flush the contiguous decided prefix: every seq smaller than the
         # frontier minimum is already hashed, so whenever the minimum
         # itself is decided it (and any decided successors) can go.
@@ -348,26 +329,6 @@ class StreamingRecordSink:
         while frontier and frontier[0] in pending:
             update(pending.pop(heapq.heappop(frontier)))
 
-    def _sample(self, finish_s: float, latency_ms: float, outcome: Outcome) -> None:
-        self._seen += 1
-        entry = (finish_s, latency_ms, outcome.value)
-        reservoir = self._reservoir
-        if len(reservoir) < DEFAULT_RESERVOIR_SIZE:
-            reservoir.append(entry)
-            return
-        # Algorithm R with the randomness drawn in blocks: one vectorized
-        # generator call per 4096 records instead of one scalar call per
-        # record (the scalar path dominated the sink's profile).
-        index = self._uniform_index
-        uniforms = self._uniforms
-        if index >= uniforms.shape[0]:
-            uniforms = self._uniforms = self._rng.random(4096)
-            index = 0
-        self._uniform_index = index + 1
-        slot = int(uniforms[index] * self._seen)
-        if slot < DEFAULT_RESERVOIR_SIZE:
-            reservoir[slot] = entry
-
     def shed(self, shed: ShedRecord) -> None:
         del shed  # streaming mode keeps the count, not the objects
         self._shed_count += 1
@@ -375,11 +336,6 @@ class StreamingRecordSink:
     @property
     def total_recorded(self) -> int:
         return self._total
-
-    @property
-    def pending_count(self) -> int:
-        """Current reorder-window size (bounded by requests in flight)."""
-        return len(self._pending)
 
     def finalize(self) -> StreamAggregates:
         if self._frontier or self._pending:
@@ -391,7 +347,6 @@ class StreamingRecordSink:
             outcome_counts=dict(self._counts),
             outcomes_digest=self._hash.hexdigest(),
             latency_hists=dict(self._hists),
-            samples=list(self._reservoir),
             shed_count=self._shed_count,
             peak_pending=self.peak_pending,
             total=self._total,
@@ -399,7 +354,6 @@ class StreamingRecordSink:
 
 
 __all__ = [
-    "DEFAULT_RESERVOIR_SIZE",
     "FullRecordSink",
     "LATENCY_BOUNDS_MS",
     "StreamAggregates",

@@ -323,9 +323,10 @@ class ServeWorkload:
     ) -> List[TenantRequest]:
         """Materialize :class:`TenantRequest` objects from :meth:`columns`.
 
-        ``rows`` selects a subset of entry rows (e.g. one shard's); seq
-        numbers stay *global* (the row index in the merged stream), so
-        shard outputs merge back into the exact unsharded order.
+        ``rows`` selects a subset of entry rows (one of
+        :meth:`iter_from_columns`'s chunks); seq numbers stay *global*
+        (the row index in the merged stream), so the chunks concatenate
+        into exactly the whole stream.
         """
         kinds, _ = self._kinds_and_weights()
         t_col = cols["t"]

@@ -3,13 +3,13 @@
 The pre-commit question an OCS fleet operator actually asks (Mission
 Apollo, PAPERS.md) is "if I push this policy now, what happens to the
 SLOs?".  :class:`WhatIfPlanner` answers it in the twin: take a recorded
-:class:`~repro.twin.timeline.FleetTimeline`, rebuild the *identical*
-workload and fault storm from its replay parameters, run the serving
-stack under a proposed :class:`TwinPolicy`, and report predicted SLOs
-and their deltas against the recorded baseline.  Everything downstream
-is sim-clocked and seeded, so the same timeline + the same policy yields
-a byte-identical :class:`PlanReport` -- :meth:`PlanReport.digest` is the
-acceptance pin.
+:class:`~repro.twin.timeline.FleetTimeline`, rerun its drill profile
+(:func:`repro.serve.drill.run_drill`: the *identical* workload and fault
+storm) with the config a proposed :class:`TwinPolicy` derives, and
+report predicted SLOs and their deltas against the recorded baseline.
+Everything downstream is sim-clocked and seeded, so the same timeline +
+the same policy yields a byte-identical :class:`PlanReport` --
+:meth:`PlanReport.digest` is the acceptance pin.
 
 :meth:`WhatIfPlanner.approve` is the gate the control plane consults
 before ``DurableController.reconfigure`` / ``ReplicationGroup`` commits
@@ -27,8 +27,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.obs import NULL_OBS
-from repro.serve.service import FabricService, ServeConfig
-from repro.serve.workload import ServeWorkload
+from repro.serve.drill import run_drill
+from repro.serve.service import ServeConfig
 from repro.twin.timeline import FleetTimeline, baseline_slos
 
 #: Predicted-SLO keys a planner report always carries.
@@ -174,53 +174,25 @@ class WhatIfPlanner:
         self.obs = obs if obs is not None else NULL_OBS
         self._timeline_digest = timeline.digest()
 
-    def _base_config(self) -> ServeConfig:
-        kwargs: Dict[str, object] = {"seed": self.timeline.seed}
-        if self.timeline.num_tenants != ServeConfig.num_tenants:
-            kwargs["num_tenants"] = self.timeline.num_tenants
-        if self.timeline.profile == "failover":
-            # Match run_failover_drill's recorded configuration so a
-            # no-op policy reproduces the baseline.
-            kwargs["num_controller_replicas"] = 3
-            kwargs["replica_lease_s"] = 0.15
-        return ServeConfig(**kwargs)  # type: ignore[arg-type]
-
     def evaluate(self, policy: TwinPolicy) -> PlanReport:
         """Predicted SLOs for one policy, from a full twin replay."""
-        from repro.faults.injector import FaultInjector
-        from repro.serve.drill import (
-            build_failover_timeline,
-            build_fault_timeline,
-        )
-
         timeline = self.timeline
-        config = policy.apply(self._base_config())
         with self.obs.tracer.span(
             "twin.plan.replay", policy=policy.name,
             profile=timeline.profile, timeline=timeline.name,
         ):
-            workload = ServeWorkload(
-                seed=timeline.seed,
-                rate_per_s=timeline.rate_per_s,
-                num_tenants=timeline.num_tenants,
+            out = run_drill(
+                timeline.profile, seed=timeline.seed,
+                num_primaries=timeline.num_primaries,
+                num_tenants=timeline.num_tenants, adjust=policy.apply,
             )
-            requests = workload.generate(timeline.num_primaries)
-            horizon_s = requests[-1].arrival_s
-            injector = FaultInjector(seed=timeline.seed)
-            if timeline.profile == "failover":
-                build_failover_timeline(injector, horizon_s)
-            else:
-                build_fault_timeline(injector, horizon_s)
-            service = FabricService(config, obs=NULL_OBS)
-            report = service.run(requests, faults=injector)
             self.obs.metrics.counter("twin.plan.replays").inc()
-        predicted = baseline_slos(report.summary())
         return PlanReport(
             policy=policy,
             timeline_name=timeline.name,
             timeline_digest=self._timeline_digest,
             baseline=dict(timeline.baseline),
-            predicted=predicted,
+            predicted=baseline_slos(out["summary"]),
         )
 
     def approve(

@@ -26,11 +26,8 @@ from repro.obs.timeseries import (
     Sample,
     samples_from_records,
 )
+from repro.serve.drill import PROFILES, RATE_PER_S, run_drill
 from repro.serve.requests import Outcome
-
-#: The drill profiles a timeline can be recorded from (and replayed
-#: against): the overload storm and the partition-failover storm.
-PROFILES = ("serve", "failover")
 
 
 def _quantile(values: List[float], q: float) -> float:
@@ -62,6 +59,13 @@ class FleetTimeline:
         if self.profile not in PROFILES:
             raise ConfigurationError(
                 f"unknown profile {self.profile!r}; have {PROFILES}"
+            )
+        if self.rate_per_s != RATE_PER_S:
+            # The planner replays through the drill runner, which offers
+            # only the profile rate.
+            raise ConfigurationError(
+                f"timeline offered {self.rate_per_s}/s; the drill profiles "
+                f"offer {RATE_PER_S}/s"
             )
 
     # ------------------------------------------------------------------ #
@@ -234,27 +238,16 @@ def record_fleet_timeline(
     The returned timeline carries everything the planner needs to replay
     the identical workload + fault storm under a different policy; two
     calls with equal arguments produce equal digests."""
-    if profile not in PROFILES:
-        raise ConfigurationError(f"unknown profile {profile!r}; have {PROFILES}")
     if obs is None:
         obs = NULL_OBS
-    from repro.serve.drill import run_failover_drill, run_serve_drill
-
     with obs.tracer.span(
         "twin.timeline.record", profile=profile, seed=seed,
         num_primaries=num_primaries,
     ):
-        drill_obs = Observability.sim()
-        if profile == "serve":
-            out = run_serve_drill(
-                seed=seed, smoke=True, obs=drill_obs,
-                num_primaries=num_primaries, num_tenants=num_tenants,
-            )
-        else:
-            out = run_failover_drill(
-                seed=seed, smoke=True, obs=drill_obs,
-                num_primaries=num_primaries, num_tenants=num_tenants,
-            )
+        out = run_drill(
+            profile, seed=seed, smoke=True,
+            num_primaries=num_primaries, num_tenants=num_tenants,
+        )
         report = out["report"]
         summary = out["summary"]
         horizon_s = float(summary["horizon_s"])  # type: ignore[arg-type]
@@ -266,7 +259,7 @@ def record_fleet_timeline(
         seed=seed,
         num_primaries=num_primaries,
         num_tenants=report.config.num_tenants,
-        rate_per_s=1_200.0,
+        rate_per_s=RATE_PER_S,
         horizon_s=horizon_s,
         sample_every_s=sample_every_s,
         samples=samples,

@@ -345,6 +345,11 @@ class TestIncrementalInstrumentation:
         FlowSimulator(fabric, routing, seed=3, obs=obs).run(flows)
         pushes = obs.metrics.value("flowsim.calendar.pushes")
         assert 0.0 < pushes
+        # Every push is counted, and a completion retires its winner
+        # without pushing it back, so the stale entries left are the
+        # ones that rate changes superseded.
+        stale_share = obs.metrics.value("flowsim.calendar.stale_pops") / pushes
+        assert round(stale_share, 3) == 0.701
         # With fallbacks in the mix, each full solve rebuilds the
         # calendar from the live flows, discarding every stale entry
         # instead of leaving it to be popped: stale pops stay rare.

@@ -1,11 +1,17 @@
-"""Every example script imports cleanly; the observatory drill runs.
+"""Every example script imports cleanly; the observatory and drill
+examples run.
 
 The examples guard their ``main()`` behind ``__name__``, so importing a
 module executes only its setup code -- a fast check that the public API
-surface every example exercises still exists.
+surface every example exercises still exists.  The serving, failover and
+twin examples also run end to end as subprocesses, because they drive
+the drill runner with arguments no other test passes.
 """
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +45,27 @@ class TestObservatoryRuns:
         assert "trace digest" in out
         assert "control.recover" in out
         assert "SLOs" in out
+
+
+#: The examples that run end to end: (script, arguments), by test id.
+DRILL_RUNS = {
+    "serving_drill": ("serving_drill.py", ()),
+    "failover_drill": ("failover_drill.py", ()),
+    "failover_drill_2048_tenants": ("failover_drill.py", ("--tenants", "2048")),
+    "twin_operations": ("twin_operations.py", ()),
+}
+
+
+@pytest.mark.parametrize("script,args", DRILL_RUNS.values(), ids=DRILL_RUNS.keys())
+def test_drill_example_runs(script, args):
+    src = str(EXAMPLES_DIR.parent / "src")
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    proc = subprocess.run(
+        [sys.executable, str(EXAMPLES_DIR / script), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

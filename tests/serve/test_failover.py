@@ -115,6 +115,20 @@ class TestGhostCommitRegression:
         assert summary["failovers"] >= 1
 
 
+class TestThousandsOfTenants:
+    def test_failover_drill_scales_traffic_ocses(self):
+        """The failover profile takes the serve profile's OCS scaling:
+        2,048 tenants over the default 4 OCSes would be radix 1,024."""
+        out = run_failover_drill(num_tenants=2_048, num_primaries=600)
+        config = out["report"].config
+        assert config.num_tenants == 2_048
+        assert config.num_traffic_ocses == 16
+        assert config.num_controller_replicas == 3
+        summary = out["summary"]
+        assert summary["replay_digest"] == summary["state_digest"]
+        assert summary["committed_ops_lost"] == 0
+
+
 class TestTimeline:
     def test_failover_timeline_is_deterministic(self):
         def schedule():

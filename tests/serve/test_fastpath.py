@@ -6,8 +6,7 @@
   digest, state digest, the commit log's canonical lines, and
   ``summary()`` for a table of small fault timelines (controller crashes
   with recovery, RPC-timeout bursts), the 10k-request / 2,048-tenant
-  drill, the seed-11 smoke drill, and a sharded drill -- all byte for
-  byte;
+  drill and the seed-11 smoke drill -- all byte for byte;
 - a sequential journaled oracle that shares no event-loop or commit
   plane code with the service: for *any* fault timeline it drives each
   committed entry through a fresh
@@ -23,9 +22,7 @@
 - on both commit planes the memoized ``FabricManager.state_digest()``
   equals the from-scratch hash after slice allocs/releases have churned
   the link table, and a run whose memo missed a mutation fails instead
-  of reporting;
-- the sharded drill merges to byte-identical summaries for any worker
-  count.
+  of reporting.
 """
 
 import dataclasses
@@ -46,13 +43,11 @@ from repro.core.fabric_manager import _scratch_state_digest
 from repro.core.ids import LinkId, OcsId
 from repro.faults.events import FaultKind, controller_target
 from repro.faults.injector import FaultInjector
-from repro.parallel import SweepEngine
 from repro.serve.drill import (
     build_fault_timeline,
     drill_config,
     report_jsonl_lines,
     run_serve_drill,
-    run_serve_drill_sharded,
 )
 from repro.serve.requests import (
     Outcome,
@@ -165,11 +160,6 @@ GOLDEN_DRILL = (
 #: sorted-key JSON (it carries outcomes, state and replay digests).
 GOLDEN_SMOKE_SUMMARY = (
     "6f6c7dff6c625d4f3e0f2880bf16fd9c143a35f57d0c5a8f0f8ac0489bde4ea0"
-)
-
-#: ``sharded_digest`` of the seed-3, 3,000-primary, 512-tenant drill.
-GOLDEN_SHARDED = (
-    "a72370861a32e4dd626fec29535c1fff1fde349091442b9f6c458731b90c6611"
 )
 
 
@@ -413,7 +403,7 @@ def test_first_count_answers_the_outcome_asked_for():
 
 def test_streaming_sink_matches_full_records_and_stays_flat():
     for (seed, events), pinned in GOLDEN_SMALL.items():
-        sink = StreamingRecordSink(seed=seed)
+        sink = StreamingRecordSink()
         service, stream = _small_run(events, seed, sink=sink)
         _, full = _small_run(events, seed)
         aggregates = stream.aggregates
@@ -472,7 +462,7 @@ def test_peak_pending_saturates_independent_of_request_count():
         requests = ServeWorkload(
             seed=0, rate_per_s=800.0, num_tenants=16
         ).generate(n)
-        sink = StreamingRecordSink(seed=0)
+        sink = StreamingRecordSink()
         report = FabricService(config, sink=sink).run(requests)
         peaks[n] = report.aggregates.peak_pending
     assert peaks[600] == peaks[1_200] == peaks[2_400]
@@ -489,34 +479,3 @@ def test_streaming_drill_matches_full_record_drill():
                 "admitted", "commits", "replay_digest"):
         assert stream[key] == full[key], key
     assert stream["peak_pending"] > 0
-
-
-def test_sharded_drill_is_worker_count_invariant():
-    kwargs = dict(seed=3, smoke=True, num_primaries=3_000, num_tenants=512)
-    serial = run_serve_drill_sharded(
-        engine=SweepEngine(workers=1), **kwargs
-    )["summary"]
-    pooled = run_serve_drill_sharded(
-        engine=SweepEngine(workers=4, ship="shm", chunk_size=1), **kwargs
-    )["summary"]
-    pickled = run_serve_drill_sharded(
-        engine=SweepEngine(workers=2, ship="pickle"), **kwargs
-    )["summary"]
-    assert serial == pooled == pickled
-    assert serial["sharded_digest"] == GOLDEN_SHARDED
-    assert serial["num_cells"] == 8
-
-
-def test_sharded_drill_partitions_offered_load():
-    out = run_serve_drill_sharded(
-        seed=5, smoke=True, num_primaries=3_000, num_tenants=512,
-        engine=SweepEngine(workers=1),
-    )
-    summary, cells = out["summary"], out["cells"]
-    assert summary["offered"] == sum(c["offered"] for c in cells)
-    assert summary["offered"] >= 3_000
-    counted = sum(summary["outcomes"].values())
-    assert counted == summary["offered"]
-    # Every cell proved its own replay equivalence before returning.
-    for cell in cells:
-        assert cell["replay_digest"] == cell["state_digest"]

@@ -11,6 +11,7 @@ from repro.twin import (
     WhatIfPlanner,
     record_fleet_timeline,
 )
+from repro.twin.planner import PREDICTED_KEYS
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +83,17 @@ class TestReplayDeterminism:
         a = planner.evaluate(TwinPolicy(name="a", pinned_brownout=2))
         b = planner.evaluate(TwinPolicy(name="b", quarantine_fraction=0.5))
         assert a.digest() != b.digest()
+
+
+class TestNoOpReplay:
+    @pytest.mark.parametrize("profile", ["serve", "failover"])
+    def test_noop_policy_reproduces_the_baseline_at_2048_tenants(self, profile):
+        """The planner reruns the recorded profile, OCS scaling and
+        replica group included, so a no-op policy predicts no change."""
+        timeline = record_fleet_timeline(profile=profile, num_tenants=2_048)
+        report = WhatIfPlanner(timeline).evaluate(TwinPolicy(name="noop"))
+        assert set(report.deltas) == set(PREDICTED_KEYS)
+        assert all(delta == 0.0 for delta in report.deltas.values()), report.deltas
 
 
 class TestPredictions:

@@ -71,6 +71,13 @@ class TestRoundTrip:
         rebuilt = FleetTimeline.from_records(records)
         assert rebuilt.digest() == timeline.digest()
 
+    def test_other_offered_rate_rejected(self, timeline):
+        """The planner can replay only the drill profiles' rate."""
+        records = [dict(r) for r in timeline.to_records()]
+        records[0]["rate_per_s"] = 600.0
+        with pytest.raises(ConfigurationError, match="offered"):
+            FleetTimeline.from_records(records)
+
     def test_missing_meta_raises(self):
         with pytest.raises(ConfigurationError, match="meta"):
             FleetTimeline.from_records([{"type": "baseline", "slos": {}}])
