@@ -172,7 +172,7 @@ def _build_sensitivity() -> CasePair:
 
 
 # --------------------------------------------------------------------- #
-# Max-min fair allocation: incidence-matrix kernel vs dict loop
+# Max-min fair allocation: path-class heap water-filler vs dict loop
 # --------------------------------------------------------------------- #
 
 
@@ -206,7 +206,7 @@ def _build_max_min() -> CasePair:
 
 
 # --------------------------------------------------------------------- #
-# Fluid flow simulation: incremental incidence run vs per-event dict loop
+# Fluid flow simulation: incremental path-class run vs per-event dict loop
 # --------------------------------------------------------------------- #
 
 

@@ -10,29 +10,30 @@ flow completion time" result.
 Two implementations of the event loop coexist:
 
 - :meth:`FlowSimulator.run` -- the **incremental water-filling engine**.
-  Per-link sets of active flows, the per-flow rate vector, and a
+  Flows are grouped into path classes (one per distinct link tuple);
+  the live classes on each link, the per-flow rate vector, and a
   completion calendar persist across events; an arrival/departure
-  re-solves only the connected component of the flow/link interaction
+  re-fills only the connected component of the class/link interaction
   graph reachable from the touched links (the affected-subgraph trick),
-  falling back to one vectorized :meth:`_IncidenceSystem.fill_rates` solve of the whole
-  active set when that frontier exceeds :data:`_INCREMENTAL_MAX_FRONTIER`
-  flows.  Max-min progressive filling decomposes exactly over
-  components -- the per-link subtraction sequence is identical whether a
-  component is solved alone or interleaved in a global solve -- so the
-  incremental allocations are bit-exact against the full per-event solve.
+  falling back to one fill of every live class when that component
+  holds more than :data:`_INCREMENTAL_MAX_FRONTIER` flows.  Max-min
+  progressive filling decomposes exactly over components -- the
+  per-link subtraction sequence is identical whether a component is
+  filled alone or inside a global fill -- so the incremental
+  allocations are bit-exact against the full per-event solve.
 - :meth:`FlowSimulator.run_reference` -- the original per-event dict
   loop: the bit-exact oracle for the above.
 
-The allocation kernels follow the same pattern:
-:func:`max_min_rates` is the incidence-matrix water-filler and
-:func:`max_min_rates_reference` its dict-loop oracle.
+Both :meth:`FlowSimulator.run` and :func:`max_min_rates` use the one
+filler, :meth:`_PathClasses.fill`, a heap-driven water-filler over path
+classes; :func:`max_min_rates_reference` is its dict-loop oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,13 +52,13 @@ RateProbe = Callable[[float, Dict[int, float]], None]
 
 #: Incremental-engine fallback threshold: when the affected component
 #: (the "dirty set") reachable from an event's touched links exceeds
-#: this many flows, the engine stops walking and re-solves the whole
-#: active set with :meth:`_IncidenceSystem.fill_rates` instead.
-#: Allocations are identical either way; this bounds the Python frontier
-#: walk so dense, all-connected workloads degrade gracefully to the
-#: vectorized full solve.  Read at every :meth:`FlowSimulator.run` call,
-#: so tests can force fallbacks by patching it.
-_INCREMENTAL_MAX_FRONTIER = 96
+#: this many flows, the engine stops walking and fills every live class
+#: instead, then rebuilds the calendar in one pass.  Allocations are
+#: identical either way; this bounds the walk and the per-flow calendar
+#: re-keying of a component that spans most of a dense fabric.  Read at
+#: every :meth:`FlowSimulator.run` call, so tests can force fallbacks by
+#: patching it.
+_INCREMENTAL_MAX_FRONTIER = 192
 
 #: Relative half-width of the calendar's pop re-evaluation window.  Heap
 #: keys are projected absolute finish times computed when a flow's rate
@@ -106,77 +107,99 @@ def _links_of(path: Tuple[int, ...]) -> List[Link]:
     return [(path[i], path[i + 1]) for i in range(len(path) - 1)]
 
 
-class _IncidenceSystem:
-    """A link x flow incidence structure in flat arrays.
+class _PathClasses:
+    """Flows grouped by path: each distinct link tuple is one class.
 
-    ``flat`` holds the link index of every (flow, link) membership and
-    ``owner`` the flow index of the same entry, both ``int32`` so 65k-port
-    link sets stay hot in cache.  Built once and reused across events by
-    the simulator.
+    ``class_of[k]`` is the class of ``paths[k]`` (given as link indices).
+    Every flow of a class gets the same max-min rate, so fills work on
+    classes.  The table keeps the live flow count of each class, and per
+    link its live flow count and live classes, so a fill over a set of
+    links closed under sharing starts without a rebuild.
     """
 
-    __slots__ = ("flat", "owner", "num_flows", "capacity")
+    __slots__ = ("capacity", "class_of", "links", "live", "link_count", "link_classes")
 
-    def __init__(self, cols: Sequence[np.ndarray], capacity: np.ndarray) -> None:
-        self.num_flows = len(cols)
-        self.capacity = np.asarray(capacity, dtype=float)
-        lens = np.array([len(c) for c in cols], dtype=np.int32)
-        if cols:
-            self.flat = np.concatenate(cols).astype(np.int32, copy=False)
-            self.owner = np.repeat(
-                np.arange(self.num_flows, dtype=np.int32), lens
-            )
-        else:
-            self.flat = np.empty(0, dtype=np.int32)
-            self.owner = np.empty(0, dtype=np.int32)
+    def __init__(self, capacity: List[float], paths: Iterable[Sequence[int]]) -> None:
+        self.capacity = capacity
+        index: Dict[Tuple[int, ...], int] = {}
+        self.class_of = [index.setdefault(tuple(p), len(index)) for p in paths]
+        self.links = list(index)
+        self.live = [0] * len(index)
+        self.link_count = [0] * len(capacity)
+        self.link_classes: List[Dict[int, None]] = [{} for _ in capacity]
 
-    def fill_rates(self, active: np.ndarray) -> np.ndarray:
-        """Progressive-filling max-min allocation over the active flows.
+    def add(self, c: int) -> None:
+        self.live[c] += 1
+        for l in self.links[c]:
+            self.link_count[l] += 1
+            self.link_classes[l][c] = None
 
-        Entries are compacted once to the active flows, renumbered into
-        their local index space; per-link counts start as one
-        ``np.bincount`` and each round subtracts what it froze, and the
-        frozen entries are dropped, so every round costs only the
-        entries still unfrozen.  Every link exactly at the minimum share
-        saturates in the same round -- freezing tied bottlenecks
-        together matches one-at-a-time progressive filling, since
-        removing one tied link's flows leaves every other tied link's
-        share unchanged ((c - k*s) / (n - k) == s when c/n == s).
-        Returns a rate per flow (0.0 for inactive flows and for flows
-        starved by a zero-capacity link).
+    def remove(self, c: int) -> None:
+        self.live[c] -= 1
+        for l in self.links[c]:
+            self.link_count[l] -= 1
+            if not self.live[c]:
+                del self.link_classes[l][c]
+
+    def fill(self, links: Iterable[int]) -> Tuple[Dict[int, float], int]:
+        """Progressive-filling max-min allocation of the live classes on
+        ``links`` (which must hold every link those classes cross).
+
+        A lazy min-heap of ``(remaining/count, link)`` yields each
+        round's fair share; every link at it saturates in the same round
+        -- freezing tied bottlenecks together matches one-at-a-time
+        filling, since removing one tied link's flows leaves every other
+        tied link's share unchanged ((c - k*s) / (n - k) == s when
+        c/n == s).  A round updates only the links it touches, each by
+        one ``rem - fair * frozen`` clamped at zero: arithmetic that
+        depends only on the link's own classes, so a component filled
+        alone gets the same bits as in a fill of every live link.
+        Returns each class's rate (0.0 when starved by a zero-capacity
+        link) and the number of rounds.
         """
-        num_links = self.capacity.size
-        rates = np.zeros(self.num_flows)
-        selected = active[self.owner]
-        # Storage is int32 (cache footprint at 65k-port link sets); the
-        # water-filling rounds index with these arrays repeatedly, and
-        # NumPy re-casts non-intp index arrays on every use -- one
-        # up-front cast of the compacted entries wins it back.
-        flat = self.flat[selected].astype(np.intp, copy=False)
-        if not flat.size:
-            return rates
-        local = np.cumsum(active) - 1
-        owner = local[self.owner[selected]]
-        local_rates = np.zeros(int(local[-1]) + 1)
-        remaining = self.capacity.copy()
-        counts = np.bincount(flat, minlength=num_links)
-        while flat.size:
-            used = counts > 0
-            share = np.where(used, remaining / np.where(used, counts, 1), np.inf)
-            fair = share.min()
-            frozen = np.zeros(local_rates.size, dtype=bool)
-            frozen[owner[(share == fair)[flat]]] = True
-            entries = frozen[owner]
-            decrement = np.bincount(flat[entries], minlength=num_links)
-            remaining -= fair * decrement
-            np.maximum(remaining, 0.0, out=remaining)
-            counts -= decrement
-            local_rates[frozen] = fair
-            keep = ~entries
-            flat = flat[keep]
-            owner = owner[keep]
-        rates[active] = local_rates
-        return rates
+        capacity, link_count = self.capacity, self.link_count
+        link_classes, class_links, live = self.link_classes, self.links, self.live
+        # Per live link: [remaining, unfrozen flows, current share].
+        state: Dict[int, List] = {}
+        heap: List[Tuple[float, int]] = []
+        for l in links:
+            n = link_count[l]
+            if n:
+                r = capacity[l]
+                state[l] = [r, n, r / n]
+                heap.append((r / n, l))
+        heapify(heap)
+        out: Dict[int, float] = {}
+        rounds = 0
+        while heap:
+            fair, l = heappop(heap)
+            if state[l][2] != fair:
+                continue  # superseded by a later re-key
+            rounds += 1
+            tied = [l]
+            while heap and heap[0][0] == fair:
+                l = heappop(heap)[1]
+                if state[l][2] == fair:
+                    tied.append(l)
+            dec: Dict[int, int] = {}
+            for t in tied:
+                for c in link_classes[t]:
+                    if c not in out:
+                        out[c] = fair
+                        m = live[c]
+                        for l in class_links[c]:
+                            dec[l] = dec.get(l, 0) + m
+            for l, d in dec.items():
+                st = state[l]
+                r = st[0] - fair * d
+                st[0] = r = r if r > 0.0 else 0.0
+                n = st[1] = st[1] - d
+                if n:
+                    st[2] = r / n
+                    heappush(heap, (st[2], l))
+                else:
+                    st[2] = -1.0  # saturated: matches no heap key
+        return out, rounds
 
 
 def _index_links(
@@ -201,20 +224,19 @@ def max_min_rates(
     """Progressive-filling max-min fair allocation.
 
     Repeatedly saturate the bottleneck link with the smallest fair share
-    and freeze its flows.  Runs on a link x flow incidence matrix with
-    per-round counts and shares as NumPy array ops; property-tested
+    and freeze its flows.  Flows with the same links form one path
+    class, and :meth:`_PathClasses.fill` fills the classes; property-tested
     against the dict-loop oracle :func:`max_min_rates_reference`.
     """
     link_index, capacity = _index_links(flow_paths, link_capacity)
-    fids = list(flow_paths)
-    cols = [
-        np.array([link_index[link] for link in flow_paths[fid]], dtype=np.int32)
-        for fid in fids
-    ]
-    system = _IncidenceSystem(cols, capacity)
-    active = np.array([len(c) > 0 for c in cols], dtype=bool)
-    rates = system.fill_rates(active)
-    return {fid: float(rates[i]) for i, fid in enumerate(fids) if active[i]}
+    fids = [fid for fid, links in flow_paths.items() if links]
+    table = _PathClasses(
+        capacity.tolist(), ([link_index[l] for l in flow_paths[f]] for f in fids)
+    )
+    for c in table.class_of:
+        table.add(c)
+    rates, _ = table.fill(range(len(link_index)))
+    return {fid: rates[c] for fid, c in zip(fids, table.class_of)}
 
 
 def max_min_rates_reference(
@@ -357,16 +379,19 @@ class FlowSimulator:
         arriving/completing flow's links through shared active links --
         not to the whole active set:
 
-        - the flows active on each link, the rate vector, and each
-          flow's remaining volume persist across events;
-        - an arrival/departure walks the affected component -- visiting
-          only flows active now, so the cost tracks live work, not the
-          flows already finished -- and re-runs progressive filling on
-          it alone (max-min allocations decompose exactly over
-          components, so this is bit-identical to a full per-event
-          solve);
-        - when the walk exceeds :data:`_INCREMENTAL_MAX_FRONTIER` flows
-          it falls back to one vectorized full solve for that event;
+        - flows are grouped into path classes, built once; the live
+          count of each class, the live classes on each link, the rate
+          vector, and each flow's remaining volume persist across
+          events;
+        - an arrival/departure walks the affected component over live
+          classes -- never a flow that has finished or not yet arrived,
+          so the cost tracks live work -- and re-runs progressive
+          filling on it alone (max-min allocations decompose exactly
+          over components, so this is bit-identical to a full per-event
+          solve); each flow of a class then takes the class's rate;
+        - when the component holds more than
+          :data:`_INCREMENTAL_MAX_FRONTIER` flows it falls back to one
+          fill of every live class for that event;
         - projected completions live in an indexed heap with lazy
           invalidation (absolute finish times are invariant while a
           flow's rate is unchanged); a full-solve fallback rebuilds the
@@ -383,35 +408,36 @@ class FlowSimulator:
         ordered, cols_py, cap_vector = self._prepare(flows)
         num_flows = len(ordered)
         num_links = int(cap_vector.size)
-        system = _IncidenceSystem(
-            [np.asarray(c, dtype=np.int32) for c in cols_py], cap_vector
-        )
-        # The frontier walk and small-component fills run on plain
-        # ints/floats -- at typical component sizes (a handful of flows)
-        # interpreter ops beat NumPy call overhead.
-        capacity_py = cap_vector.tolist()
         arrivals_py = [f.arrival_s for f in ordered]
+        # Path classes, and each class's rate from the last full fill.
+        table = _PathClasses(cap_vector.tolist(), cols_py)
+        class_py = table.class_of
+        class_np = np.array(class_py, dtype=np.intp)
+        class_links, live, link_classes = table.links, table.live, table.link_classes
+        num_classes = len(class_links)
+        class_rate = np.zeros(num_classes)
+        # The live flows of each class, in arrival order.  With the
+        # table's live classes per link, the walk never visits a flow
+        # that has finished or not yet arrived.
+        class_flows: List[Dict[int, None]] = [{} for _ in range(num_classes)]
 
-        active_np = np.zeros(num_flows, dtype=bool)
         remaining = np.zeros(num_flows)
         start = np.zeros(num_flows)
         rates = np.zeros(num_flows)
         version = [0] * num_flows
         heap: List[Tuple[float, int, int]] = []
-        # The flows active on each link now, in arrival order: the walk
-        # never visits a flow that has finished or not yet arrived.
-        link_flows: List[Dict[int, None]] = [{} for _ in range(num_links)]
         # Compact active-index array (swap-remove) for the sparse drain.
         act_idx = np.empty(num_flows, dtype=np.int32)
         act_pos = [0] * num_flows
         # Scratch for the component walk, reset via touched lists.
-        flow_seen = bytearray(num_flows)
+        class_seen = bytearray(num_classes)
         link_seen = bytearray(num_links)
 
         obs = self._obs
         metrics = obs.metrics
         events_ctr = metrics.counter("flowsim.events")
         fallback_ctr = metrics.counter("flowsim.full_solve_fallbacks")
+        rounds_ctr = metrics.counter("flowsim.fill.rounds")
         stale_ctr = metrics.counter("flowsim.calendar.stale_pops")
         push_ctr = metrics.counter("flowsim.calendar.pushes")
         frontier_hist = metrics.histogram("flowsim.frontier.flows")
@@ -424,113 +450,84 @@ class FlowSimulator:
         records: List[FlowRecord] = []
         inf = float("inf")
 
-        def component_from(f: int) -> Optional[Tuple[List[int], List[int]]]:
-            """Active flows/links reachable from ``f``'s links, or None
-            when the walk exceeds the fallback threshold."""
+        def component_from(c0: int) -> Optional[Tuple[List[int], int]]:
+            """Links and live flow count of the component reachable from
+            class ``c0``'s links, or None when that count exceeds the
+            fallback threshold."""
             comp_links: List[int] = []
-            comp_flows: List[int] = []
+            comp: List[int] = []
             stack: List[int] = []
-            for l in cols_py[f]:
+            for l in class_links[c0]:
                 if not link_seen[l]:
                     link_seen[l] = 1
                     comp_links.append(l)
                     stack.append(l)
-            overflow = False
+            size = 0
             while stack:
-                for o in link_flows[stack.pop()]:
-                    if flow_seen[o]:
+                for c in link_classes[stack.pop()]:
+                    if class_seen[c]:
                         continue
-                    flow_seen[o] = 1
-                    comp_flows.append(o)
-                    if len(comp_flows) > max_frontier:
-                        overflow = True
+                    class_seen[c] = 1
+                    comp.append(c)
+                    size += live[c]
+                    if size > max_frontier:
                         stack.clear()
                         break
-                    for l2 in cols_py[o]:
+                    for l2 in class_links[c]:
                         if not link_seen[l2]:
                             link_seen[l2] = 1
                             comp_links.append(l2)
                             stack.append(l2)
             for l in comp_links:
                 link_seen[l] = 0
-            for o in comp_flows:
-                flow_seen[o] = 0
-            if overflow:
+            for c in comp:
+                class_seen[c] = 0
+            if size > max_frontier:
                 return None
-            return comp_flows, comp_links
-
-        def fill_component(
-            comp_flows: List[int], comp_links: List[int]
-        ) -> Dict[int, float]:
-            """Progressive filling restricted to one component, with the
-            same float arithmetic as :meth:`_IncidenceSystem.fill_rates`
-            (shares as remaining/count, tied bottlenecks frozen together,
-            remaining clamped at zero)."""
-            rem = {l: capacity_py[l] for l in comp_links}
-            alive = dict.fromkeys(comp_flows)
-            out: Dict[int, float] = {}
-            while alive:
-                counts: Dict[int, int] = {}
-                for o in alive:
-                    for l in cols_py[o]:
-                        counts[l] = counts.get(l, 0) + 1
-                fair = inf
-                for l, cnt in counts.items():
-                    s = rem[l] / cnt
-                    if s < fair:
-                        fair = s
-                frozen = [
-                    o
-                    for o in alive
-                    if any(rem[l] / counts[l] == fair for l in cols_py[o])
-                ]
-                dec: Dict[int, int] = {}
-                for o in frozen:
-                    for l in cols_py[o]:
-                        dec[l] = dec.get(l, 0) + 1
-                for l, d in dec.items():
-                    r = rem[l] - fair * d
-                    rem[l] = r if r > 0.0 else 0.0
-                for o in frozen:
-                    out[o] = fair
-                    del alive[o]
-            return out
+            return comp_links, size
 
         def reallocate(f: int) -> None:
-            """Refresh rates after ``f`` arrived/departed: solve the
-            affected component (or everything, past the threshold) and
-            re-key the calendar for flows whose rate changed."""
-            comp = component_from(f)
+            """Refresh rates after ``f`` arrived/departed: fill the
+            affected component (or every live class, past the threshold)
+            and re-key the calendar for flows whose rate changed."""
+            comp = component_from(class_py[f])
             if comp is None:
                 fallback_ctr.inc()
                 frontier_hist.observe(float(num_active))
                 dirty_hist.observe(1.0)
-                rates[:] = system.fill_rates(active_np)
+                out, rounds = table.fill(range(num_links))
+                rounds_ctr.inc(rounds)
+                class_rate[list(out)] = list(out.values())
+                sel = act_idx[:num_active]
+                rates[sel] = class_rate[class_np[sel]]
                 # Rebuild the calendar from every live flow in one pass:
                 # it drops all stale entries, so versions need no bump.
-                sel = act_idx[:num_active]
                 sel = sel[rates[sel] > 0.0]
                 keys = now + remaining[sel] / rates[sel]
                 sel_py = sel.tolist()
-                heap[:] = zip(keys.tolist(), sel_py, [version[i] for i in sel_py])
+                heap[:] = zip(keys.tolist(), sel_py, map(version.__getitem__, sel_py))
                 heapify(heap)
                 push_ctr.inc(len(heap))
                 return
-            comp_flows, _comp_links = comp
-            frontier_hist.observe(float(len(comp_flows)))
+            comp_links, size = comp
+            frontier_hist.observe(float(size))
             if num_active:
-                dirty_hist.observe(len(comp_flows) / num_active)
-            if not comp_flows:
+                dirty_hist.observe(size / num_active)
+            if not size:
                 return
-            for o, r in fill_component(comp_flows, _comp_links).items():
-                if r != rates[o]:
-                    rates[o] = r
-                    version[o] += 1
-                    if r > 0.0:
-                        push_ctr.inc()
-                        heappush(
-                            heap, (now + float(remaining[o]) / r, o, version[o])
-                        )
+            out, rounds = table.fill(comp_links)
+            rounds_ctr.inc(rounds)
+            pushes = len(heap)
+            for c, r in out.items():
+                for o in class_flows[c]:
+                    if r != rates[o]:
+                        rates[o] = r
+                        version[o] += 1
+                        if r > 0.0:
+                            heappush(
+                                heap, (now + float(remaining[o]) / r, o, version[o])
+                            )
+            push_ctr.inc(len(heap) - pushes)
 
         def next_finish() -> Optional[Tuple[float, int]]:
             """Earliest projected completion, re-evaluated freshly.
@@ -596,14 +593,14 @@ class FlowSimulator:
                 now = next_arrival
                 i = cursor
                 cursor += 1
-                active_np[i] = True
                 act_pos[i] = num_active
                 act_idx[num_active] = i
                 num_active += 1
                 remaining[i] = ordered[i].size_gbit
                 start[i] = now
-                for l in cols_py[i]:
-                    link_flows[l][i] = None
+                c = class_py[i]
+                class_flows[c][i] = None
+                table.add(c)
                 reallocate(i)
             else:
                 finish_t, w = nf
@@ -611,14 +608,14 @@ class FlowSimulator:
                 sel = act_idx[:num_active]
                 remaining[sel] -= rates[sel] * elapsed
                 now = finish_t
-                active_np[w] = False
                 p = act_pos[w]
                 last = int(act_idx[num_active - 1])
                 act_idx[p] = last
                 act_pos[last] = p
                 num_active -= 1
-                for l in cols_py[w]:
-                    del link_flows[l][w]
+                c = class_py[w]
+                del class_flows[c][w]
+                table.remove(c)
                 version[w] += 1
                 rates[w] = 0.0
                 records.append(

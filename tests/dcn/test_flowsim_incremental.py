@@ -137,6 +137,23 @@ class TestEventBoundaryParity:
             recs_full = FlowSimulator(fabric, routing, seed=7).run(flows)
         _assert_records_equal(recs, recs_full)
 
+    @pytest.mark.parametrize("frontier", [1, 2, 3, 5])
+    def test_walk_that_reaches_the_threshold_exactly_is_complete(self, frontier):
+        # Small thresholds on the metro's 2-hop paths: a component whose
+        # live flow count equals the threshold must be walked to the end
+        # and filled whole, not cut short at that count.
+        fabric, routing, demand = _metro_routing(16, seed=17)
+        flows = generate_flows(
+            demand, 300, mean_size_gbit=15.0, duration_s=10.0, seed=23
+        )
+        ev_small, p_small = _capture()
+        ev_full, p_full = _capture()
+        with _frontier(frontier):
+            FlowSimulator(fabric, routing, seed=7).run(flows, rate_probe=p_small)
+        with _frontier(0):
+            FlowSimulator(fabric, routing, seed=7).run(flows, rate_probe=p_full)
+        _assert_event_streams_equal(ev_small, ev_full)
+
     def test_sparse_metro_with_long_history_matches_full_solve(self):
         # Few flows live at once, thousands already finished: the regime
         # where a walk over every flow that ever used a link would cost
@@ -333,6 +350,22 @@ class TestIncrementalInstrumentation:
         with _frontier(1):
             FlowSimulator(fabric, routing, seed=3, obs=obs2).run(flows)
         assert obs2.metrics.value("flowsim.full_solve_fallbacks") > 0.0
+
+    def test_fill_rounds_and_fallbacks_are_pinned(self):
+        # Work counts that do not depend on the host.  A round freezes
+        # every link at the minimum share together, so the round count
+        # is fixed by the allocation: these values are the ones the
+        # earlier NumPy and dict fills counted on this workload.
+        fabric, routing, tm = _build_sim(3)
+        flows = generate_flows(
+            tm.demand_gbps, 200, mean_size_gbit=100.0, duration_s=1.0, seed=2
+        )
+        for frontier, fallbacks, rounds in ((10_000, 0, 366), (8, 142, 1312), (0, 366, 2488)):
+            obs = Observability.sim()
+            with _frontier(frontier):
+                FlowSimulator(fabric, routing, seed=3, obs=obs).run(flows)
+            assert obs.metrics.value("flowsim.full_solve_fallbacks") == fallbacks
+            assert obs.metrics.value("flowsim.fill.rounds") == rounds
 
     def test_calendar_stays_lazy(self):
         # Pushes happen only for rate-changed flows: the push count must

@@ -1,33 +1,83 @@
-"""Property suite pinning the incidence-matrix flow kernels to the
-original dict-based implementations.
+"""Property suite pinning the path-class water-filler to the original
+dict-based implementations.
 
 ``max_min_rates_reference`` and ``FlowSimulator.run_reference`` are the
-pre-vectorization implementations kept in-tree as oracles; the matrix
-paths must reproduce their allocations, completion orders, and event
-times exactly (the kernels replicate the scalar op order, so the
-comparison tolerance is far tighter than the 1e-12 contract).
+original implementations kept in-tree as oracles; the filler behind
+``max_min_rates`` and ``FlowSimulator.run`` must reproduce their
+allocations (to 1e-12) and the event loop's completion orders and event
+times (exactly).  A max-min optimality certificate checks allocations
+with no oracle at all.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dcn import flowsim
 from repro.dcn.flowsim import (
     FlowSimulator,
-    _IncidenceSystem,
     _index_links,
+    _PathClasses,
     generate_flows,
     max_min_rates,
     max_min_rates_reference,
 )
 from repro.dcn.spinefree import AggregationBlock, SpineFreeFabric
+from repro.dcn.topology_engineering import engineer_trunks
 from repro.dcn.traffic import gravity_matrix
 from repro.dcn.traffic_engineering import route_demand
+from repro.obs import Observability
 
 RTOL = 1e-12
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
+
+
+def assert_max_min_certificate(flow_paths, capacity, rates, rel=1e-9):
+    """Check that ``rates`` is the max-min fair allocation without an
+    oracle, in O(flows + links) for bounded path lengths:
+
+    - no link carries more than its capacity x (1 + ``rel``);
+    - every flow crosses a saturated link on which its rate is the
+      largest of any flow's.
+
+    Flows with no links get no rate.
+    """
+    load, top = {}, {}
+    for fid, links in flow_paths.items():
+        if not links:
+            assert fid not in rates
+            continue
+        r = rates[fid]
+        assert r >= 0.0
+        for link in links:
+            load[link] = load.get(link, 0.0) + r
+            top[link] = max(top.get(link, 0.0), r)
+    for link, total in load.items():
+        assert total <= capacity.get(link, 0.0) * (1.0 + rel), link
+    for fid, links in flow_paths.items():
+        assert not links or any(
+            load[link] >= capacity.get(link, 0.0) * (1.0 - rel)
+            and rates[fid] >= top[link] * (1.0 - rel)
+            for link in links
+        ), fid
+
+
+@st.composite
+def shared_path_instances(draw):
+    """Flows drawn from a few paths, so most path classes carry many
+    flows.  Capacities come from a small set, so bottlenecks tie, and
+    include 0.0, so flows starve; some paths have no links."""
+    links = [(i, i + 1) for i in range(draw(st.integers(1, 10)))]
+    level = st.sampled_from([0.0, 10.0, 30.0, 30.0, 60.0])
+    capacity = {link: draw(level) for link in links}
+    path = st.lists(st.sampled_from(links), max_size=4, unique=True)
+    paths = draw(st.lists(path, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(paths) - 1), min_size=1, max_size=60))
+    return {fid: list(paths[p]) for fid, p in enumerate(picks)}, capacity
 
 
 def _random_instance(rng, num_flows, num_links, zero_capacity=False, empty_paths=False):
@@ -64,42 +114,51 @@ class TestMaxMinRates:
         assert vec.keys() == ref.keys()
         for fid in ref:
             assert vec[fid] == pytest.approx(ref[fid], rel=RTOL, abs=1e-300)
+        assert_max_min_certificate(flow_paths, capacity, vec)
 
-    @given(
-        seeds,
-        st.integers(min_value=1, max_value=40),
-        st.integers(min_value=1, max_value=12),
-        st.floats(min_value=0.0, max_value=1.0),
-        st.booleans(),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_fill_rates_on_partial_masks(self, seed, flows, links, p_active, zero_cap):
-        """``fill_rates`` solves the masked flows in their own compact
-        index space: the active flows get the oracle's allocation for
-        them alone, every inactive flow exactly 0.0."""
-        rng = np.random.default_rng(seed)
-        flow_paths, capacity = _random_instance(rng, flows, links, zero_cap, True)
+    @given(shared_path_instances(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_fill_rates_on_partial_masks(self, instance, data):
+        """A fill allocates the live flows alone: after a masked-out
+        subset of flows leaves the path-class table, every live flow
+        gets the oracle's allocation for the live set, and it passes
+        the certificate.  ``{fid: []}`` flows stay unallocated."""
+        flow_paths, capacity = instance
         link_index, cap_vector = _index_links(flow_paths, capacity)
-        system = _IncidenceSystem(
-            [
-                np.array([link_index[l] for l in path], dtype=np.int32)
-                for path in flow_paths.values()
-            ],
-            cap_vector,
+        fids = [fid for fid, path in flow_paths.items() if path]
+        table = _PathClasses(
+            cap_vector.tolist(), ([link_index[l] for l in flow_paths[f]] for f in fids)
         )
-        active = rng.random(flows) < p_active
-        rates = system.fill_rates(active)
-        ref = max_min_rates_reference(
-            {fid: path for fid, path in flow_paths.items() if active[fid]}, capacity
-        )
-        for fid in flow_paths:
-            if not active[fid]:
-                assert rates[fid] == 0.0
-            elif not flow_paths[fid]:
-                # No links: the oracle leaves it unallocated.
-                assert fid not in ref and rates[fid] == 0.0
-            else:
-                assert rates[fid] == pytest.approx(ref[fid], rel=RTOL, abs=1e-300)
+        classes = dict(zip(fids, table.class_of))
+        for c in classes.values():
+            table.add(c)
+        live = {
+            fid: path
+            for fid, path in flow_paths.items()
+            if data.draw(st.booleans(), label=f"flow {fid} live")
+        }
+        for fid, c in classes.items():
+            if fid not in live:
+                table.remove(c)
+        class_rates, rounds = table.fill(range(len(link_index)))
+        rates = {fid: class_rates[c] for fid, c in classes.items() if fid in live}
+        ref = max_min_rates_reference(live, capacity)
+        assert rates.keys() == ref.keys()
+        for fid in ref:
+            assert rates[fid] == pytest.approx(ref[fid], rel=RTOL, abs=1e-300)
+        assert_max_min_certificate(live, capacity, rates)
+        assert (rounds > 0) == bool(rates)
+
+    @given(shared_path_instances())
+    @settings(max_examples=80, deadline=None)
+    def test_max_min_rates_on_shared_paths(self, instance):
+        flow_paths, capacity = instance
+        rates = max_min_rates(flow_paths, capacity)
+        ref = max_min_rates_reference(flow_paths, capacity)
+        assert rates.keys() == ref.keys()
+        for fid in ref:
+            assert rates[fid] == pytest.approx(ref[fid], rel=RTOL, abs=1e-300)
+        assert_max_min_certificate(flow_paths, capacity, rates)
 
     def test_shared_bottleneck_splits_evenly(self):
         link = (0, 1)
@@ -173,8 +232,10 @@ class TestFlowSimulatorParity:
         assert max(dts) == 0.0
 
     def test_high_concurrency_crosses_matrix_kernel(self):
-        # Sizes chosen so the active-flow count exceeds the dict-kernel
-        # crossover and the incidence kernel actually runs.
+        # Dense arrivals (300 flows in 50 ms).  Every event here stays
+        # under the fallback threshold, so this pins the component
+        # fills; test_high_concurrency_with_tiny_frontier sends the same
+        # flows through the full fill.
         fabric, routing, tm = _build_sim(7)
         flows = generate_flows(
             tm.demand_gbps, 300, mean_size_gbit=500.0, duration_s=0.05, seed=4
@@ -185,3 +246,38 @@ class TestFlowSimulatorParity:
         assert max(
             abs(v.finish_s - r.finish_s) for v, r in zip(recs_v, recs_r)
         ) == 0.0
+
+    @pytest.mark.parametrize("full_fills", [False, True])
+    def test_certificate_holds_at_sampled_events_of_a_dense_mesh(self, full_fills):
+        # fct_mesh's shape at 800 of its 2,000 flows: 16 blocks x 16
+        # uplinks, the §4.2 gravity matrix on engineered trunks, WCMP
+        # paths.  Run once as configured (component fills here) and once
+        # with the fallback threshold at 0 (a full fill every event).
+        blocks = [AggregationBlock(i, uplinks=16) for i in range(16)]
+        tm = gravity_matrix(16, 90_000.0, seed=3)
+        fabric = SpineFreeFabric(blocks, engineer_trunks(blocks, tm))
+        routing = route_demand(fabric, tm)
+        flows = generate_flows(
+            tm.demand_gbps, 800, mean_size_gbit=2_000.0, duration_s=0.05, seed=1
+        )
+        # A same-seed simulator draws the same WCMP paths run will.
+        twin = FlowSimulator(fabric, routing, path_policy="wcmp", seed=7)
+        capacity = twin._capacities()
+        paths = twin._routed_paths(flows, capacity)
+        sampled = []
+
+        def probe(now, rates):
+            sampled.append(len(rates))
+            if len(sampled) % 20 == 1:
+                live = {fid: paths[fid] for fid in rates}
+                assert_max_min_certificate(live, capacity, rates)
+
+        obs = Observability.sim()
+        sim = FlowSimulator(fabric, routing, path_policy="wcmp", seed=7, obs=obs)
+        frontier = 0 if full_fills else flowsim._INCREMENTAL_MAX_FRONTIER
+        with mock.patch.object(flowsim, "_INCREMENTAL_MAX_FRONTIER", frontier):
+            sim.run(flows, rate_probe=probe)
+        assert len(sampled) == 2 * len(flows) and max(sampled) == len(flows)
+        fallbacks = obs.metrics.value("flowsim.full_solve_fallbacks")
+        # Every arrival, at least, is a full fill at threshold 0.
+        assert (fallbacks >= len(flows)) if full_fills else (fallbacks < len(flows))
