@@ -11,16 +11,15 @@ Two implementations of the event loop coexist:
 
 - :meth:`FlowSimulator.run` -- the **incremental water-filling engine**.
   Flows are grouped into path classes (one per distinct link tuple);
-  the live classes on each link, the per-flow rate vector, and a
-  completion calendar persist across events; an arrival/departure
-  re-fills only the connected component of the class/link interaction
-  graph reachable from the touched links (the affected-subgraph trick),
-  falling back to one fill of every live class when that component
-  holds more than :data:`_INCREMENTAL_MAX_FRONTIER` flows.  Max-min
-  progressive filling decomposes exactly over components -- the
-  per-link subtraction sequence is identical whether a component is
-  filled alone or inside a global fill -- so the incremental
-  allocations are bit-exact against the full per-event solve.
+  the live classes on each link, the per-class rate, and a completion
+  calendar with one entry per class persist across events; an
+  arrival/departure re-fills only the connected component of the
+  class/link interaction graph reachable from the touched links (the
+  affected-subgraph trick).  Max-min progressive filling decomposes
+  exactly over components -- the per-link subtraction sequence is
+  identical whether a component is filled alone or inside a global
+  fill -- so the incremental allocations are bit-exact against the full
+  per-event solve.
 - :meth:`FlowSimulator.run_reference` -- the original per-event dict
   loop: the bit-exact oracle for the above.
 
@@ -31,6 +30,8 @@ classes; :func:`max_min_rates_reference` is its dict-loop oracle.
 
 from __future__ import annotations
 
+import math
+from bisect import insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -50,22 +51,13 @@ Link = Tuple[int, int]
 #: allocations at every event boundary.
 RateProbe = Callable[[float, Dict[int, float]], None]
 
-#: Incremental-engine fallback threshold: when the affected component
-#: (the "dirty set") reachable from an event's touched links exceeds
-#: this many flows, the engine stops walking and fills every live class
-#: instead, then rebuilds the calendar in one pass.  Allocations are
-#: identical either way; this bounds the walk and the per-flow calendar
-#: re-keying of a component that spans most of a dense fabric.  Read at
-#: every :meth:`FlowSimulator.run` call, so tests can force fallbacks by
-#: patching it.
-_INCREMENTAL_MAX_FRONTIER = 192
-
 #: Relative half-width of the calendar's pop re-evaluation window.  Heap
-#: keys are projected absolute finish times computed when a flow's rate
-#: last changed; the freshly recomputed value can drift from the key by
-#: accumulated float rounding (~2^-52 per drain event, so ~1e-11
-#: relative after 10^5 events).  Popping every entry within this much of
-#: the top and re-evaluating with the oracle's exact arithmetic keeps
+#: keys are the projected absolute finish times of each class's front
+#: flow, computed when the class's rate or front flow last changed; the
+#: freshly recomputed value can drift from the key by accumulated float
+#: rounding (~2^-52 per drain event, so ~1e-11 relative after 10^5
+#: events).  Popping every class within this much of the top and
+#: re-evaluating its flows with the oracle's exact arithmetic keeps
 #: completion picks bit-identical to a per-event argmin while leaving
 #: >100x margin over the drift bound.
 _CALENDAR_REL_WINDOW = 4e-9
@@ -84,6 +76,10 @@ class Flow:
     def __post_init__(self) -> None:
         if self.src == self.dst:
             raise ConfigurationError("flow endpoints must differ")
+        for name in ("size_gbit", "arrival_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"flow {name} must be finite, got {value}")
         if self.size_gbit <= 0:
             raise ConfigurationError("flow size must be positive")
         if self.arrival_s < 0:
@@ -285,7 +281,7 @@ class FlowSimulator:
         seed: seeds the WCMP path draws.
         obs: optional :class:`repro.obs.Observability` bundle; the
             incremental engine lands frontier sizes, dirty fractions,
-            full-solve fallbacks, and calendar traffic on it.
+            fill rounds, and calendar traffic on it.
     """
 
     fabric: SpineFreeFabric
@@ -380,26 +376,29 @@ class FlowSimulator:
         not to the whole active set:
 
         - flows are grouped into path classes, built once; the live
-          count of each class, the live classes on each link, the rate
-          vector, and each flow's remaining volume persist across
+          count of each class, the live classes on each link, each
+          class's rate, and each flow's remaining volume persist across
           events;
         - an arrival/departure walks the affected component over live
           classes -- never a flow that has finished or not yet arrived,
           so the cost tracks live work -- and re-runs progressive
           filling on it alone (max-min allocations decompose exactly
           over components, so this is bit-identical to a full per-event
-          solve); each flow of a class then takes the class's rate;
-        - when the component holds more than
-          :data:`_INCREMENTAL_MAX_FRONTIER` flows it falls back to one
-          fill of every live class for that event;
-        - projected completions live in an indexed heap with lazy
-          invalidation (absolute finish times are invariant while a
-          flow's rate is unchanged); a full-solve fallback rebuilds the
-          heap in one pass from every positive-rate active flow, so no
-          stale entry outlives it; pops re-evaluate an epsilon-window
-          of candidates with the oracle's exact arithmetic, so the
-          winning flow and its finish time are bit-identical to the
-          per-event argmin of :meth:`run_reference`.
+          solve); every flow of a class drains at the class's rate;
+        - each class keeps its live flows weakly sorted by remaining
+          volume (arrivals are inserted by bisection; a drain subtracts
+          the same rounded ``rate * elapsed`` from every flow of a
+          class, which keeps the order), so its front flow finishes
+          first;
+        - projected completions live in a heap with one entry per
+          positive-rate class, keyed by its front flow's absolute finish
+          time and invalidated lazily by a per-class version (the key is
+          invariant while the class's rate and front flow are
+          unchanged); pops re-evaluate every class within an epsilon
+          window of the top with the oracle's exact arithmetic, scanning
+          each from the front, so the winning flow and its finish time
+          are bit-identical to the per-event argmin of
+          :meth:`run_reference`.
 
         ``rate_probe`` (if given) fires once per event iteration with
         the current allocation; the property suite uses it to pin
@@ -409,25 +408,26 @@ class FlowSimulator:
         num_flows = len(ordered)
         num_links = int(cap_vector.size)
         arrivals_py = [f.arrival_s for f in ordered]
-        # Path classes, and each class's rate from the last full fill.
         table = _PathClasses(cap_vector.tolist(), cols_py)
         class_py = table.class_of
-        class_np = np.array(class_py, dtype=np.intp)
         class_links, live, link_classes = table.links, table.live, table.link_classes
         num_classes = len(class_links)
         class_rate = np.zeros(num_classes)
-        # The live flows of each class, in arrival order.  With the
-        # table's live classes per link, the walk never visits a flow
-        # that has finished or not yet arrived.
-        class_flows: List[Dict[int, None]] = [{} for _ in range(num_classes)]
+        class_version = [0] * num_classes
+        # The live flows of each class, weakly sorted by remaining volume.
+        # With the table's live classes per link, the walk never visits a
+        # flow that has finished or not yet arrived.
+        class_flows: List[List[int]] = [[] for _ in range(num_classes)]
 
         remaining = np.zeros(num_flows)
         start = np.zeros(num_flows)
-        rates = np.zeros(num_flows)
-        version = [0] * num_flows
+        # Calendar: (projected finish of the class's front flow, class,
+        # class version) for every live positive-rate class.
         heap: List[Tuple[float, int, int]] = []
-        # Compact active-index array (swap-remove) for the sparse drain.
-        act_idx = np.empty(num_flows, dtype=np.int32)
+        # Compact active-index and active-class arrays (swap-remove) for
+        # the drain.
+        act_idx = np.empty(num_flows, dtype=np.intp)
+        act_cls = np.empty(num_flows, dtype=np.intp)
         act_pos = [0] * num_flows
         # Scratch for the component walk, reset via touched lists.
         class_seen = bytearray(num_classes)
@@ -436,24 +436,21 @@ class FlowSimulator:
         obs = self._obs
         metrics = obs.metrics
         events_ctr = metrics.counter("flowsim.events")
-        fallback_ctr = metrics.counter("flowsim.full_solve_fallbacks")
         rounds_ctr = metrics.counter("flowsim.fill.rounds")
         stale_ctr = metrics.counter("flowsim.calendar.stale_pops")
         push_ctr = metrics.counter("flowsim.calendar.pushes")
         frontier_hist = metrics.histogram("flowsim.frontier.flows")
         dirty_hist = metrics.histogram("flowsim.dirty_fraction")
 
-        max_frontier = _INCREMENTAL_MAX_FRONTIER
         cursor = 0
         num_active = 0
         now = 0.0
         records: List[FlowRecord] = []
         inf = float("inf")
 
-        def component_from(c0: int) -> Optional[Tuple[List[int], int]]:
+        def component_from(c0: int) -> Tuple[List[int], int]:
             """Links and live flow count of the component reachable from
-            class ``c0``'s links, or None when that count exceeds the
-            fallback threshold."""
+            class ``c0``'s links."""
             comp_links: List[int] = []
             comp: List[int] = []
             stack: List[int] = []
@@ -470,9 +467,6 @@ class FlowSimulator:
                     class_seen[c] = 1
                     comp.append(c)
                     size += live[c]
-                    if size > max_frontier:
-                        stack.clear()
-                        break
                     for l2 in class_links[c]:
                         if not link_seen[l2]:
                             link_seen[l2] = 1
@@ -482,34 +476,14 @@ class FlowSimulator:
                 link_seen[l] = 0
             for c in comp:
                 class_seen[c] = 0
-            if size > max_frontier:
-                return None
             return comp_links, size
 
-        def reallocate(f: int) -> None:
-            """Refresh rates after ``f`` arrived/departed: fill the
-            affected component (or every live class, past the threshold)
-            and re-key the calendar for flows whose rate changed."""
-            comp = component_from(class_py[f])
-            if comp is None:
-                fallback_ctr.inc()
-                frontier_hist.observe(float(num_active))
-                dirty_hist.observe(1.0)
-                out, rounds = table.fill(range(num_links))
-                rounds_ctr.inc(rounds)
-                class_rate[list(out)] = list(out.values())
-                sel = act_idx[:num_active]
-                rates[sel] = class_rate[class_np[sel]]
-                # Rebuild the calendar from every live flow in one pass:
-                # it drops all stale entries, so versions need no bump.
-                sel = sel[rates[sel] > 0.0]
-                keys = now + remaining[sel] / rates[sel]
-                sel_py = sel.tolist()
-                heap[:] = zip(keys.tolist(), sel_py, map(version.__getitem__, sel_py))
-                heapify(heap)
-                push_ctr.inc(len(heap))
-                return
-            comp_links, size = comp
+        def reallocate(c0: int, rekey_c0: bool) -> None:
+            """Refresh rates after a flow of class ``c0`` arrived or
+            departed: fill the affected component and re-key the calendar
+            for every class whose rate changed, and for ``c0`` when its
+            front flow changed (``rekey_c0``)."""
+            comp_links, size = component_from(c0)
             frontier_hist.observe(float(size))
             if num_active:
                 dirty_hist.observe(size / num_active)
@@ -519,26 +493,29 @@ class FlowSimulator:
             rounds_ctr.inc(rounds)
             pushes = len(heap)
             for c, r in out.items():
-                for o in class_flows[c]:
-                    if r != rates[o]:
-                        rates[o] = r
-                        version[o] += 1
-                        if r > 0.0:
-                            heappush(
-                                heap, (now + float(remaining[o]) / r, o, version[o])
-                            )
+                if r != class_rate[c] or (rekey_c0 and c == c0):
+                    class_rate[c] = r
+                    class_version[c] += 1
+                    if r > 0.0:
+                        lead = class_flows[c][0]
+                        heappush(
+                            heap, (now + float(remaining[lead]) / r, c, class_version[c])
+                        )
             push_ctr.inc(len(heap) - pushes)
 
-        def next_finish() -> Optional[Tuple[float, int]]:
-            """Earliest projected completion, re-evaluated freshly.
+        def next_finish() -> Optional[Tuple[float, int, int]]:
+            """Earliest completion ``(time, flow, class)``, re-evaluated
+            freshly.
 
-            Pops every live entry within the drift window of the top and
-            recomputes ``now + remaining/rate`` (the oracle's formula on
-            the eagerly-drained state); ties resolve to the lowest flow
-            index, matching the reference argmin.  The other candidates
-            go back re-keyed; the winner stays out, for the caller to
-            retire or push back."""
-            while heap and heap[0][2] != version[heap[0][1]]:
+            Pops every live class entry within the drift window of the
+            top and scans each class from the front, recomputing
+            ``now + remaining/rate`` (the oracle's formula on the
+            eagerly-drained state) until a flow is later than the best so
+            far; ties resolve to the lowest flow index, matching the
+            reference argmin.  The other classes go back re-keyed by
+            their front flow; the winner's class stays out, for the
+            caller to re-key or push back."""
+            while heap and heap[0][2] != class_version[heap[0][1]]:
                 heappop(heap)
                 stale_ctr.inc()
             if not heap:
@@ -546,25 +523,27 @@ class FlowSimulator:
             k0 = heap[0][0]
             mag = k0 if k0 > 1.0 else 1.0
             limit = k0 + _CALENDAR_REL_WINDOW * mag
-            cands: List[int] = []
-            while heap and heap[0][0] <= limit:
-                k, i, v = heappop(heap)
-                if v == version[i]:
-                    cands.append(i)
-                else:
-                    stale_ctr.inc()
-            best_t, best_i = inf, -1
+            best_t, best_i, best_c = inf, -1, -1
             fresh: List[Tuple[float, int]] = []
-            for i in cands:
-                t = now + float(remaining[i]) / float(rates[i])
-                fresh.append((t, i))
-                if t < best_t or (t == best_t and i < best_i):
-                    best_t, best_i = t, i
-            for t, i in fresh:
-                if i != best_i:
-                    heappush(heap, (t, i, version[i]))
+            while heap and heap[0][0] <= limit:
+                _, c, v = heappop(heap)
+                if v != class_version[c]:
+                    stale_ctr.inc()
+                    continue
+                r = float(class_rate[c])
+                members = class_flows[c]
+                fresh.append((now + float(remaining[members[0]]) / r, c))
+                for i in members:
+                    t = now + float(remaining[i]) / r
+                    if t > best_t:
+                        break
+                    if t < best_t or i < best_i:
+                        best_t, best_i, best_c = t, i, c
+            for t, c in fresh:
+                if c != best_c:
+                    heappush(heap, (t, c, class_version[c]))
             push_ctr.inc(len(fresh) - 1)
-            return best_t, best_i
+            return best_t, best_i, best_c
 
         while cursor < num_flows or num_active > 0:
             events_ctr.inc()
@@ -572,8 +551,8 @@ class FlowSimulator:
                 rate_probe(
                     now,
                     {
-                        ordered[int(i)].flow_id: float(rates[int(i)])
-                        for i in act_idx[:num_active]
+                        ordered[i].flow_id: float(class_rate[class_py[i]])
+                        for i in act_idx[:num_active].tolist()
                     },
                 )
             next_arrival = arrivals_py[cursor] if cursor < num_flows else inf
@@ -581,47 +560,47 @@ class FlowSimulator:
             if nf is None or next_arrival <= nf[0]:
                 if nf is not None:
                     push_ctr.inc()
-                    heappush(heap, (nf[0], nf[1], version[nf[1]]))
+                    heappush(heap, (nf[0], nf[2], class_version[nf[2]]))
                 if cursor >= num_flows:
                     raise ConfigurationError(
                         "deadlock: active flows with zero rate and no arrivals"
                     )
-                elapsed = next_arrival - now
                 if num_active:
-                    sel = act_idx[:num_active]
-                    remaining[sel] -= rates[sel] * elapsed
+                    remaining[act_idx[:num_active]] -= class_rate[
+                        act_cls[:num_active]
+                    ] * (next_arrival - now)
                 now = next_arrival
                 i = cursor
                 cursor += 1
+                c = class_py[i]
                 act_pos[i] = num_active
                 act_idx[num_active] = i
+                act_cls[num_active] = c
                 num_active += 1
                 remaining[i] = ordered[i].size_gbit
                 start[i] = now
-                c = class_py[i]
-                class_flows[c][i] = None
+                members = class_flows[c]
+                insort(members, i, key=remaining.__getitem__)
                 table.add(c)
-                reallocate(i)
+                reallocate(c, members[0] == i)
             else:
-                finish_t, w = nf
-                elapsed = finish_t - now
-                sel = act_idx[:num_active]
-                remaining[sel] -= rates[sel] * elapsed
+                finish_t, w, c = nf
+                remaining[act_idx[:num_active]] -= class_rate[
+                    act_cls[:num_active]
+                ] * (finish_t - now)
                 now = finish_t
                 p = act_pos[w]
-                last = int(act_idx[num_active - 1])
-                act_idx[p] = last
-                act_pos[last] = p
                 num_active -= 1
-                c = class_py[w]
-                del class_flows[c][w]
+                last = int(act_idx[num_active])
+                act_idx[p] = last
+                act_cls[p] = act_cls[num_active]
+                act_pos[last] = p
+                class_flows[c].remove(w)
                 table.remove(c)
-                version[w] += 1
-                rates[w] = 0.0
                 records.append(
                     FlowRecord(flow=ordered[w], start_s=float(start[w]), finish_s=now)
                 )
-                reallocate(w)
+                reallocate(c, True)
         return records
 
     def run_reference(

@@ -63,6 +63,15 @@ class TestFlowValidation:
         with pytest.raises(ConfigurationError):
             Flow(1, 0, 1, 10.0, -1.0)
 
+    @pytest.mark.parametrize("field", ["size_gbit", "arrival_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_fields_rejected(self, field, value):
+        # NaN slips past ``<= 0`` / ``< 0`` checks, and an infinite size
+        # or arrival would surface later as a misleading deadlock.
+        fields = {"size_gbit": 10.0, "arrival_s": 0.0, field: value}
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            Flow(1, 0, 1, **fields)
+
 
 class TestSimulation:
     def test_single_flow_fct(self):

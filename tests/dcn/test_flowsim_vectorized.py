@@ -9,14 +9,11 @@ times (exactly).  A max-min optimality certificate checks allocations
 with no oracle at all.
 """
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dcn import flowsim
 from repro.dcn.flowsim import (
     FlowSimulator,
     _index_links,
@@ -232,10 +229,8 @@ class TestFlowSimulatorParity:
         assert max(dts) == 0.0
 
     def test_high_concurrency_crosses_matrix_kernel(self):
-        # Dense arrivals (300 flows in 50 ms).  Every event here stays
-        # under the fallback threshold, so this pins the component
-        # fills; test_high_concurrency_with_tiny_frontier sends the same
-        # flows through the full fill.
+        # Dense arrivals (300 flows in 50 ms) keep hundreds of flows
+        # live at once; the component fills must match the oracle.
         fabric, routing, tm = _build_sim(7)
         flows = generate_flows(
             tm.demand_gbps, 300, mean_size_gbit=500.0, duration_s=0.05, seed=4
@@ -251,8 +246,9 @@ class TestFlowSimulatorParity:
     def test_certificate_holds_at_sampled_events_of_a_dense_mesh(self, full_fills):
         # fct_mesh's shape at 800 of its 2,000 flows: 16 blocks x 16
         # uplinks, the §4.2 gravity matrix on engineered trunks, WCMP
-        # paths.  Run once as configured (component fills here) and once
-        # with the fallback threshold at 0 (a full fill every event).
+        # paths.  Every event is a component fill; with ``full_fills``
+        # the sampled allocations must also equal one fill of every live
+        # flow, bit for bit.
         blocks = [AggregationBlock(i, uplinks=16) for i in range(16)]
         tm = gravity_matrix(16, 90_000.0, seed=3)
         fabric = SpineFreeFabric(blocks, engineer_trunks(blocks, tm))
@@ -271,13 +267,13 @@ class TestFlowSimulatorParity:
             if len(sampled) % 20 == 1:
                 live = {fid: paths[fid] for fid in rates}
                 assert_max_min_certificate(live, capacity, rates)
+                if full_fills:
+                    assert rates == max_min_rates(live, capacity)
 
         obs = Observability.sim()
         sim = FlowSimulator(fabric, routing, path_policy="wcmp", seed=7, obs=obs)
-        frontier = 0 if full_fills else flowsim._INCREMENTAL_MAX_FRONTIER
-        with mock.patch.object(flowsim, "_INCREMENTAL_MAX_FRONTIER", frontier):
-            sim.run(flows, rate_probe=probe)
+        sim.run(flows, rate_probe=probe)
         assert len(sampled) == 2 * len(flows) and max(sampled) == len(flows)
-        fallbacks = obs.metrics.value("flowsim.full_solve_fallbacks")
-        # Every arrival, at least, is a full fill at threshold 0.
-        assert (fallbacks >= len(flows)) if full_fills else (fallbacks < len(flows))
+        # Every event walks and fills its component.
+        frontier = obs.metrics.histogram("flowsim.frontier.flows")
+        assert frontier.count == len(sampled)
