@@ -228,8 +228,10 @@ def _build_flowsim() -> CasePair:
         )
 
     return CasePair(
-        vectorized=lambda: FlowSimulator(fabric, routing, seed=7).run(flows),
-        reference=lambda: FlowSimulator(fabric, routing, seed=7).run_reference(flows),
+        vectorized=lambda: FlowSimulator(fabric, routing, "wcmp", seed=7).run(flows),
+        reference=lambda: FlowSimulator(fabric, routing, "wcmp", seed=7).run_reference(
+            flows
+        ),
         parity=_records_parity,
         size={"flows": num_flows, "blocks": 16, "uplinks": 16},
     )

@@ -31,7 +31,7 @@ classes; :func:`max_min_rates_reference` is its dict-loop oracle.
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -103,24 +103,52 @@ def _links_of(path: Tuple[int, ...]) -> List[Link]:
     return [(path[i], path[i + 1]) for i in range(len(path) - 1)]
 
 
+def _checked_weights(
+    src: int, dst: int, options: Sequence[Tuple[Tuple[int, ...], float]]
+) -> np.ndarray:
+    """The routed weights of pair ``(src, dst)``, rejected unless each is
+    finite and non-negative with a finite total.  Unchecked, a negative
+    weight can pick a path silently (``[-1, 1]`` totals 0) and a NaN or
+    infinite one fails inside the WCMP draw."""
+    weights = np.array([w for _, w in options], dtype=float)
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+    if not (math.isfinite(total) and (weights >= 0.0).all()):
+        raise ConfigurationError(
+            f"pair ({src}, {dst}) routed weights must be finite and "
+            f"non-negative with a finite total, got {weights.tolist()}"
+        )
+    return weights
+
+
+def _path_classes(
+    paths: Iterable[Sequence[int]],
+) -> Tuple[List[Tuple[int, ...]], List[int]]:
+    """Group paths (given as link indices) into classes: the distinct
+    link tuples in first-appearance order, and the class of each path."""
+    index: Dict[Tuple[int, ...], int] = {}
+    class_of = [index.setdefault(tuple(p), len(index)) for p in paths]
+    return list(index), class_of
+
+
 class _PathClasses:
     """Flows grouped by path: each distinct link tuple is one class.
 
-    ``class_of[k]`` is the class of ``paths[k]`` (given as link indices).
-    Every flow of a class gets the same max-min rate, so fills work on
-    classes.  The table keeps the live flow count of each class, and per
-    link its live flow count and live classes, so a fill over a set of
-    links closed under sharing starts without a rebuild.
+    ``links[c]`` is class ``c``'s link-index tuple.  Every flow of a
+    class gets the same max-min rate, so fills work on classes.  The
+    table keeps the live flow count of each class, and per link its live
+    flow count and live classes, so a fill over a set of links closed
+    under sharing starts without a rebuild.
     """
 
-    __slots__ = ("capacity", "class_of", "links", "live", "link_count", "link_classes")
+    __slots__ = ("capacity", "links", "live", "link_count", "link_classes")
 
-    def __init__(self, capacity: List[float], paths: Iterable[Sequence[int]]) -> None:
+    def __init__(
+        self, capacity: List[float], class_links: List[Tuple[int, ...]]
+    ) -> None:
         self.capacity = capacity
-        index: Dict[Tuple[int, ...], int] = {}
-        self.class_of = [index.setdefault(tuple(p), len(index)) for p in paths]
-        self.links = list(index)
-        self.live = [0] * len(index)
+        self.links = class_links
+        self.live = [0] * len(class_links)
         self.link_count = [0] * len(capacity)
         self.link_classes: List[Dict[int, None]] = [{} for _ in capacity]
 
@@ -226,13 +254,14 @@ def max_min_rates(
     """
     link_index, capacity = _index_links(flow_paths, link_capacity)
     fids = [fid for fid, links in flow_paths.items() if links]
-    table = _PathClasses(
-        capacity.tolist(), ([link_index[l] for l in flow_paths[f]] for f in fids)
+    class_links, class_of = _path_classes(
+        [link_index[l] for l in flow_paths[f]] for f in fids
     )
-    for c in table.class_of:
+    table = _PathClasses(capacity.tolist(), class_links)
+    for c in class_of:
         table.add(c)
     rates, _ = table.fill(range(len(link_index)))
-    return {fid: rates[c] for fid, c in zip(fids, table.class_of)}
+    return {fid: rates[c] for fid, c in zip(fids, class_of)}
 
 
 def max_min_rates_reference(
@@ -299,18 +328,46 @@ class FlowSimulator:
         self._obs = resolve_obs(self.obs)
 
     def _path_for(self, src: int, dst: int) -> Tuple[int, ...]:
-        """Route one flow of the pair per the path policy."""
+        """Route one flow of the pair per the path policy: the
+        reference's draw, one ``rng.choice`` per WCMP flow."""
         options = self.routing.path_for(src, dst)
         if not options:
             return (src, dst)
+        weights = _checked_weights(src, dst, options)
         if self.path_policy == "primary":
             return max(options, key=lambda pw: pw[1])[0]
-        weights = np.array([w for _, w in options], dtype=float)
         total = weights.sum()
         if total <= 0:
             return options[0][0]
         idx = int(self._path_rng.choice(len(options), p=weights / total))
         return options[idx][0]
+
+    def _pair_route(
+        self, src: int, dst: int
+    ) -> Tuple[List[Tuple[int, ...]], Optional[List[float]]]:
+        """Route the pair once for :meth:`run`: its candidate paths and,
+        when its flows draw, the CDF each draw searches.
+
+        ``Generator.choice(n, p=p)`` takes one ``random()`` ``u`` and
+        returns ``cdf.searchsorted(u, side="right")`` with ``cdf =
+        p.cumsum(); cdf /= cdf[-1]``; the CDF here is built with the
+        same operations, so ``bisect_right(cdf, u)`` picks the option
+        :meth:`_path_for` picks from the same ``u``.  A pair that does
+        not draw (primary policy, no routed options, zero total weight)
+        has one candidate and no CDF.
+        """
+        options = self.routing.path_for(src, dst)
+        if not options:
+            return [(src, dst)], None
+        weights = _checked_weights(src, dst, options)
+        if self.path_policy == "primary":
+            return [max(options, key=lambda pw: pw[1])[0]], None
+        total = weights.sum()
+        if total <= 0:
+            return [options[0][0]], None
+        cdf = (weights / total).cumsum()
+        cdf /= cdf[-1]
+        return [p for p, _ in options], cdf.tolist()
 
     def _capacities(self) -> Dict[Link, float]:
         """Lit-link capacities as a dict, in row-major link order.
@@ -344,22 +401,72 @@ class FlowSimulator:
 
     def _prepare(
         self, flows: Sequence[Flow]
-    ) -> Tuple[List[Flow], List[List[int]], np.ndarray]:
-        """Event-loop setup: arrival order, per-flow link-index columns
-        (plain lists; callers lift to arrays as needed), and the
-        capacity of each indexed link."""
+    ) -> Tuple[List[Flow], List[int], List[Tuple[int, ...]], List[float]]:
+        """Event-loop setup, routing each (src, dst) pair once.
+
+        Returns the flows in arrival order, the path class of each, each
+        class's link-index tuple, and each indexed link's capacity;
+        classes and links are numbered in first appearance over the
+        arrival-ordered flows, as :func:`_path_classes` and
+        :func:`_index_links` number them.  The WCMP flows that draw take
+        their draws in input order from one ``random(k)`` call -- the
+        stream :meth:`_routed_paths` consumes with one ``choice`` per
+        flow -- and the dark-link check runs once per distinct path,
+        still naming the first offending flow in input order.
+        """
         if not flows:
             raise ConfigurationError("need at least one flow")
         capacity = self._capacities()
-        paths = self._routed_paths(flows, capacity)
-        ordered = sorted(flows, key=lambda f: f.arrival_s)
-        link_index, cap_vector = _index_links(
-            {f.flow_id: paths[f.flow_id] for f in ordered}, capacity
-        )
-        cols = [
-            [link_index[link] for link in paths[f.flow_id]] for f in ordered
+        pair_index: Dict[Link, int] = {}
+        flow_pair = [
+            pair_index.setdefault((f.src, f.dst), len(pair_index)) for f in flows
         ]
-        return ordered, cols, cap_vector
+        # Per pair: the ids of its candidate paths, and its CDF (or None).
+        path_id: Dict[Tuple[int, ...], int] = {}
+        pair_paths: List[List[int]] = []
+        pair_cdf: List[Optional[List[float]]] = []
+        for src, dst in pair_index:
+            candidates, cdf = self._pair_route(src, dst)
+            pair_paths.append(
+                [path_id.setdefault(tuple(p), len(path_id)) for p in candidates]
+            )
+            pair_cdf.append(cdf)
+        num_draws = sum(1 for p in flow_pair if pair_cdf[p] is not None)
+        draws = iter(self._path_rng.random(num_draws).tolist() if num_draws else ())
+        flow_path = [
+            pair_paths[p][0]
+            if pair_cdf[p] is None
+            else pair_paths[p][bisect_right(pair_cdf[p], next(draws))]
+            for p in flow_pair
+        ]
+        path_links = [_links_of(path) for path in path_id]
+        dark: Dict[int, Link] = {}
+        for i, links in enumerate(path_links):
+            for link in links:
+                if link not in capacity:
+                    dark[i] = link
+                    break
+        if dark:
+            for f, i in zip(flows, flow_path):
+                if i in dark:
+                    raise ConfigurationError(
+                        f"flow {f.flow_id} routed over dark link {dark[i]}"
+                    )
+        order = sorted(range(len(flows)), key=lambda k: flows[k].arrival_s)
+        class_index: Dict[int, int] = {}
+        class_of = [
+            class_index.setdefault(flow_path[k], len(class_index)) for k in order
+        ]
+        link_index: Dict[Link, int] = {}
+        class_links = [
+            tuple(
+                link_index.setdefault(link, len(link_index))
+                for link in path_links[i]
+            )
+            for i in class_index
+        ]
+        cap = [capacity[link] for link in link_index]
+        return [flows[k] for k in order], class_of, class_links, cap
 
     # ------------------------------------------------------------------ #
     # The incremental water-filling engine
@@ -375,10 +482,18 @@ class FlowSimulator:
         arriving/completing flow's links through shared active links --
         not to the whole active set:
 
+        - setup routes each (src, dst) pair once and takes the run's
+          WCMP draws from one ``random(k)`` call, the stream the
+          reference's per-flow ``choice`` consumes (:meth:`_prepare`);
         - flows are grouped into path classes, built once; the live
           count of each class, the live classes on each link, each
           class's rate, and each flow's remaining volume persist across
           events;
+        - the remaining volumes live in a slab compacted by
+          swap-remove, so a drain subtracts ``rate * elapsed`` from a
+          contiguous prefix: the same rounded subtraction per flow as a
+          gather/scatter over flow indices, and a removal copies a value
+          exactly;
         - an arrival/departure walks the affected component over live
           classes -- never a flow that has finished or not yet arrived,
           so the cost tracks live work -- and re-runs progressive
@@ -404,13 +519,12 @@ class FlowSimulator:
         the current allocation; the property suite uses it to pin
         the engine to :meth:`run_reference` at every event boundary.
         """
-        ordered, cols_py, cap_vector = self._prepare(flows)
+        ordered, class_py, class_links, cap = self._prepare(flows)
         num_flows = len(ordered)
-        num_links = int(cap_vector.size)
+        num_links = len(cap)
         arrivals_py = [f.arrival_s for f in ordered]
-        table = _PathClasses(cap_vector.tolist(), cols_py)
-        class_py = table.class_of
-        class_links, live, link_classes = table.links, table.live, table.link_classes
+        table = _PathClasses(cap, class_links)
+        live, link_classes = table.live, table.link_classes
         num_classes = len(class_links)
         class_rate = np.zeros(num_classes)
         class_version = [0] * num_classes
@@ -419,14 +533,16 @@ class FlowSimulator:
         # flow that has finished or not yet arrived.
         class_flows: List[List[int]] = [[] for _ in range(num_classes)]
 
-        remaining = np.zeros(num_flows)
         start = np.zeros(num_flows)
         # Calendar: (projected finish of the class's front flow, class,
         # class version) for every live positive-rate class.
         heap: List[Tuple[float, int, int]] = []
-        # Compact active-index and active-class arrays (swap-remove) for
-        # the drain.
-        act_idx = np.empty(num_flows, dtype=np.intp)
+        # The active slab, compacted by swap-remove: slot p holds flow
+        # act_idx[p], its class act_cls[p] and its remaining volume
+        # remaining[p], so the drain works on the contiguous prefix;
+        # act_pos maps a flow back to its slot.
+        remaining = np.zeros(num_flows)
+        act_idx = [0] * num_flows
         act_cls = np.empty(num_flows, dtype=np.intp)
         act_pos = [0] * num_flows
         # Scratch for the component walk, reset via touched lists.
@@ -497,7 +613,7 @@ class FlowSimulator:
                     class_rate[c] = r
                     class_version[c] += 1
                     if r > 0.0:
-                        lead = class_flows[c][0]
+                        lead = act_pos[class_flows[c][0]]
                         heappush(
                             heap, (now + float(remaining[lead]) / r, c, class_version[c])
                         )
@@ -532,9 +648,9 @@ class FlowSimulator:
                     continue
                 r = float(class_rate[c])
                 members = class_flows[c]
-                fresh.append((now + float(remaining[members[0]]) / r, c))
+                fresh.append((now + float(remaining[act_pos[members[0]]]) / r, c))
                 for i in members:
-                    t = now + float(remaining[i]) / r
+                    t = now + float(remaining[act_pos[i]]) / r
                     if t > best_t:
                         break
                     if t < best_t or i < best_i:
@@ -552,7 +668,7 @@ class FlowSimulator:
                     now,
                     {
                         ordered[i].flow_id: float(class_rate[class_py[i]])
-                        for i in act_idx[:num_active].tolist()
+                        for i in act_idx[:num_active]
                     },
                 )
             next_arrival = arrivals_py[cursor] if cursor < num_flows else inf
@@ -566,9 +682,9 @@ class FlowSimulator:
                         "deadlock: active flows with zero rate and no arrivals"
                     )
                 if num_active:
-                    remaining[act_idx[:num_active]] -= class_rate[
-                        act_cls[:num_active]
-                    ] * (next_arrival - now)
+                    remaining[:num_active] -= class_rate[act_cls[:num_active]] * (
+                        next_arrival - now
+                    )
                 now = next_arrival
                 i = cursor
                 cursor += 1
@@ -576,24 +692,25 @@ class FlowSimulator:
                 act_pos[i] = num_active
                 act_idx[num_active] = i
                 act_cls[num_active] = c
+                remaining[num_active] = ordered[i].size_gbit
                 num_active += 1
-                remaining[i] = ordered[i].size_gbit
                 start[i] = now
                 members = class_flows[c]
-                insort(members, i, key=remaining.__getitem__)
+                insort(members, i, key=lambda j: remaining[act_pos[j]])
                 table.add(c)
                 reallocate(c, members[0] == i)
             else:
                 finish_t, w, c = nf
-                remaining[act_idx[:num_active]] -= class_rate[
-                    act_cls[:num_active]
-                ] * (finish_t - now)
+                remaining[:num_active] -= class_rate[act_cls[:num_active]] * (
+                    finish_t - now
+                )
                 now = finish_t
                 p = act_pos[w]
                 num_active -= 1
-                last = int(act_idx[num_active])
+                last = act_idx[num_active]
                 act_idx[p] = last
                 act_cls[p] = act_cls[num_active]
+                remaining[p] = remaining[num_active]
                 act_pos[last] = p
                 class_flows[c].remove(w)
                 table.remove(c)

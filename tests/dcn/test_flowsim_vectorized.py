@@ -18,6 +18,7 @@ from repro.dcn.flowsim import (
     FlowSimulator,
     _index_links,
     _PathClasses,
+    _path_classes,
     generate_flows,
     max_min_rates,
     max_min_rates_reference,
@@ -123,10 +124,11 @@ class TestMaxMinRates:
         flow_paths, capacity = instance
         link_index, cap_vector = _index_links(flow_paths, capacity)
         fids = [fid for fid, path in flow_paths.items() if path]
-        table = _PathClasses(
-            cap_vector.tolist(), ([link_index[l] for l in flow_paths[f]] for f in fids)
+        class_links, class_of = _path_classes(
+            [link_index[l] for l in flow_paths[f]] for f in fids
         )
-        classes = dict(zip(fids, table.class_of))
+        table = _PathClasses(cap_vector.tolist(), class_links)
+        classes = dict(zip(fids, class_of))
         for c in classes.values():
             table.add(c)
         live = {
