@@ -16,9 +16,11 @@ switch is touched**:
   carries the full targets *and* the pre-transaction state, per-switch
   ``txn-apply`` records land as each switch is programmed, and a
   ``txn-commit`` marker seals the batch.  Recovery rolls a transaction
-  **forward** when the commit marker is durable and **back** (to the
-  journaled pre-state) when it is not -- deterministically, whatever
-  subset of switches the crash left programmed;
+  **forward** when the commit marker is durable and **back** when it is
+  not: replay leaves an uncommitted transaction's targets out of the
+  intent, and recovery drives every switch to the replayed intent --
+  deterministically, whatever subset of switches the crash left
+  programmed.  Recovery never reads the ``pre`` field;
 - ``checkpoint()`` snapshots the whole control plane into the log and
   compacts everything older.
 
@@ -494,7 +496,8 @@ def _replay_intent(
     if open_txn is not None:
         # No commit marker: the transaction never happened, intent-wise.
         # Hardware the crash left half-programmed is driven back to the
-        # journaled pre-state by the reconcile pass below.
+        # replayed intent (which leaves this transaction out) by the
+        # drive pass in recover().
         last_outcome = "rolled-back"
     # A record after the checkpoint resurrects its token's committed
     # result, which makes the token replayable again.

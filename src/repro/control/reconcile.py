@@ -1,4 +1,4 @@
-"""Anti-entropy reconciliation: intended links vs. hardware snapshots.
+"""Anti-entropy reconciliation: intended links vs. hardware state.
 
 Crash recovery (:mod:`repro.control.journal`) restores the *controller*;
 this loop heals the *fabric*.  Divergence between the logical-link table
@@ -7,8 +7,8 @@ mirrors, HV board failures, operators poking devices directly, or a
 half-programmed transaction a dead controller left behind.  The
 reconciler periodically:
 
-1. **diffs** intent against a :meth:`~repro.core.fabric_manager.
-   FabricManager.snapshot` of every switch, classifying each divergence
+1. **diffs** intent against every switch's live cross-connect state,
+   classifying each divergence
    (:class:`DriftKind`): a *missing circuit* (intent with no hardware),
    a *wrong peer* (north port landed on the wrong south port), or an
    *orphan circuit* (hardware nobody intends);
@@ -131,19 +131,20 @@ class Reconciler:
 
     def diff(self) -> Tuple[Drift, ...]:
         """Classify every divergence between intent and hardware."""
-        snapshot = self.manager.snapshot()
+        manager = self.manager
         drifts: List[Drift] = []
-        claimed: Dict[OcsId, Dict[int, int]] = {ocs: {} for ocs in snapshot}
-        for link in self.manager.links:
-            state = snapshot.get(link.ocs)
-            if state is None:
+        claimed: Dict[OcsId, Dict[int, int]] = {
+            ocs: {} for ocs in manager.switch_ids
+        }
+        for link in manager.links:
+            if link.ocs not in claimed:
                 drifts.append(
                     Drift(DriftKind.MISSING_CIRCUIT, link.ocs, link.link_id,
                           link.north, link.south, None)
                 )
                 continue
             claimed[link.ocs][link.north] = link.south
-            have = state.south_of(link.north)
+            have = manager.switch(link.ocs).state.south_of(link.north)
             if have is None:
                 drifts.append(
                     Drift(DriftKind.MISSING_CIRCUIT, link.ocs, link.link_id,
@@ -154,9 +155,8 @@ class Reconciler:
                     Drift(DriftKind.WRONG_PEER, link.ocs, link.link_id,
                           link.north, link.south, have)
                 )
-        for ocs in sorted(snapshot):
-            intent = claimed[ocs]
-            for north, south in sorted(snapshot[ocs].circuits):
+        for ocs, intent in claimed.items():
+            for north, south in sorted(manager.switch(ocs).state.circuits):
                 if intent.get(north) != south:
                     # Either nobody intends this north port, or it is a
                     # wrong-peer occupation (already reported above via
@@ -188,14 +188,14 @@ class Reconciler:
         verbatim (and therefore land in the plan's ``unchanged`` set).
         """
         touched = sorted({d.ocs for d in drifts if self._repairable(d)})
-        snapshot = self.manager.snapshot()
         intent: Dict[OcsId, Dict[int, int]] = {ocs: {} for ocs in touched}
         for link in self.manager.links:
             if link.ocs in intent:
                 intent[link.ocs][link.north] = link.south
         targets: Dict[OcsId, CrossConnectMap] = {}
         for ocs in touched:
-            circuits = {n: s for n, s in snapshot[ocs].circuits}
+            state = self.manager.switch(ocs).state
+            circuits = {n: s for n, s in state.circuits}
             want = intent[ocs]
             if self.drop_orphans:
                 claimed_souths = set(want.values())
@@ -210,9 +210,7 @@ class Reconciler:
                 circuits = {n: s for n, s in circuits.items() if s != south}
             for north, south in sorted(want.items()):
                 circuits[north] = south
-            targets[ocs] = CrossConnectMap.from_circuits(
-                snapshot[ocs].radix, circuits
-            )
+            targets[ocs] = CrossConnectMap.from_circuits(state.radix, circuits)
         return targets
 
     def _repairable(self, drift: Drift) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple
 
 from repro.core.crossconnect import CrossConnectMap
 from repro.core.errors import (
@@ -231,7 +231,7 @@ class FabricManager:
         All plans are computed first (so a bad target aborts the whole
         transaction with no partial state), then applied.  If a switch's
         ``apply_plan`` raises mid-transaction, every switch already
-        programmed is restored from the pre-transaction snapshot and a
+        programmed is undone through its plan (:meth:`rollback`) and a
         :class:`~repro.core.errors.PartialTransactionError` is raised
         listing the applied and unapplied switches.  Switches reconfigure
         in parallel in the real system; the returned duration is
@@ -239,7 +239,6 @@ class FabricManager:
         """
         plans = self.plan(targets)
         order = sorted(plans)
-        pre_state = {ocs_id: self.switch(ocs_id).state.copy() for ocs_id in order}
         applied: List[OcsId] = []
         max_duration = 0.0
         with self.obs.tracer.span(
@@ -249,7 +248,9 @@ class FabricManager:
                 try:
                     duration = self.apply_switch_plan(ocs_id, plans[ocs_id])
                 except Exception as err:
-                    rolled_back = self._restore_applied(applied, pre_state)
+                    rolled_back = self.rollback(
+                        [(oid, plans[oid]) for oid in applied]
+                    )
                     self.obs.metrics.counter("fabric.reconfig.rollbacks").inc()
                     span.set_attr("rolled_back", rolled_back)
                     raise PartialTransactionError(
@@ -271,26 +272,26 @@ class FabricManager:
             )
         return max_duration
 
-    def _restore_applied(
-        self, applied: List[OcsId], pre_state: Mapping[OcsId, CrossConnectMap]
-    ) -> bool:
-        """Drive already-applied switches back to their pre-transaction maps.
+    def rollback(self, applied: Sequence[Tuple[OcsId, ReconfigPlan]]) -> bool:
+        """Undo applied plans, newest first; the plan is the undo log.
 
-        Returns True when every switch verifiably matches its snapshot
-        again; restore failures are swallowed (the caller is already
-        raising) and reported as ``False``.
+        Each switch gets its plan's :meth:`~repro.core.reconfig.
+        ReconfigPlan.inverse` (no stats, no spans) and must then hold the
+        plan's pre-plan circuits, ``breaks | unchanged``.  A switch whose
+        undo raises is skipped and the rest still undone.  Returns True
+        when every switch matches; failures are reported, not raised
+        (the caller is already failing its transaction).
         """
         ok = True
-        for ocs_id in reversed(applied):
+        for ocs_id, plan in reversed(applied):
             sw = self.switch(ocs_id)
             try:
-                undo = plan_reconfiguration(sw.state, pre_state[ocs_id])
-                if not undo.is_noop:
-                    sw.apply_plan(undo)
+                if not plan.is_noop:
+                    sw.apply_plan(plan.inverse())
             except Exception:
                 ok = False
                 continue
-            if sw.state != pre_state[ocs_id]:
+            if sw.state.circuits != plan.breaks | plan.unchanged:
                 ok = False
         return ok
 
@@ -327,10 +328,6 @@ class FabricManager:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-
-    def snapshot(self) -> Dict[OcsId, CrossConnectMap]:
-        """Deep-copy of every switch's current cross-connect state."""
-        return {ocs_id: sw.state.copy() for ocs_id, sw in self._switches.items()}
 
     def verify_links(self) -> Tuple[LinkId, ...]:
         """Return ids of logical links whose circuit is missing or wrong."""

@@ -12,8 +12,9 @@ FabricManager` programming into a *transaction*:
   attempts -- an RPC timeout fails a whole per-switch apply, a stuck
   mirror blocks any plan touching its port;
 - on retry exhaustion every switch already programmed is rolled back by
-  applying the *inverse* plan, restoring the exact pre-transaction
-  :class:`~repro.core.crossconnect.CrossConnectMap`;
+  :meth:`~repro.core.fabric_manager.FabricManager.rollback`, which
+  applies each plan's *inverse* and checks that the switch holds the
+  plan's pre-plan circuits again;
 - job isolation holds throughout: circuits in a plan's ``unchanged``
   set are never touched, by the forward plans, the retries, or the
   rollback.
@@ -196,9 +197,10 @@ class ResilientReconfigurer:
     """Transactional multi-OCS reconfiguration over a fabric manager.
 
     Commits all-or-nothing: either every switch reaches its target map,
-    or (after per-switch retries are exhausted) every switch is restored
-    to its exact pre-transaction state and :class:`~repro.core.errors.
-    TransactionError` is raised with ``rolled_back=True``.
+    or (after per-switch retries are exhausted) every programmed switch
+    is undone and :class:`~repro.core.errors.TransactionError` is raised
+    with ``rolled_back`` telling whether each one verifiably holds its
+    pre-transaction circuits again.
     """
 
     manager: FabricManager
@@ -218,7 +220,6 @@ class ResilientReconfigurer:
     ) -> TransactionResult:
         """Drive the switches to their targets with retry + rollback."""
         plans = self.manager.plan(targets)
-        pre_state = {oid: self.manager.switch(oid).state.copy() for oid in plans}
         applied: List[Tuple[OcsId, ReconfigPlan]] = []
         attempts: Dict[OcsId, int] = {}
         backoff_total = 0.0
@@ -248,15 +249,20 @@ class ResilientReconfigurer:
                     ).inc()
                     self.obs.tracer.event(f"{ocs_id} attempt {attempt}: {failure}")
                     if attempt > self.policy.max_retries:
-                        self._rollback(applied, pre_state)
+                        # Rollback bypasses the fault model: in the real
+                        # control plane the undo program is replayed
+                        # until it lands.
+                        rolled_back = self.manager.rollback(applied)
+                        self.manager.drop_stale_links()
                         self.obs.metrics.counter("resilience.rollbacks").inc()
-                        span.set_attr("rolled_back", True)
+                        span.set_attr("rolled_back", rolled_back)
                         raise TransactionError(
                             f"programming {ocs_id} failed after {attempt} attempt(s) "
-                            f"({failure}); transaction rolled back",
+                            f"({failure}); transaction "
+                            f"{'rolled back' if rolled_back else 'NOT rolled back'}",
                             ocs_id=ocs_id,
                             attempts=attempt,
-                            rolled_back=True,
+                            rolled_back=rolled_back,
                         )
                     backoff = self.policy.backoff_ms(attempt, self._rng)
                     backoff_total += backoff
@@ -286,27 +292,3 @@ class ResilientReconfigurer:
             n, s = sorted(blocked)[0]
             return f"mirror stuck on circuit N{n}-S{s}"
         return None
-
-    def _rollback(
-        self,
-        applied: List[Tuple[OcsId, ReconfigPlan]],
-        pre_state: Mapping[OcsId, CrossConnectMap],
-    ) -> None:
-        """Undo every applied plan, newest first; verify exact restore.
-
-        Rollback bypasses the fault model: in the real control plane the
-        undo program is replayed until it lands (the alternative --
-        leaving a half-programmed fabric -- is the one unacceptable
-        outcome).
-        """
-        for ocs_id, plan in reversed(applied):
-            inverse = plan.inverse()
-            if not inverse.is_noop:
-                self.manager.switch(ocs_id).apply_plan(inverse)
-            if self.manager.switch(ocs_id).state != pre_state[ocs_id]:
-                raise TransactionError(
-                    f"rollback of {ocs_id} did not restore the pre-transaction map",
-                    ocs_id=ocs_id,
-                    rolled_back=False,
-                )
-        self.manager.drop_stale_links()

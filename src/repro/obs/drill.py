@@ -187,9 +187,9 @@ def run_fabric_drill(
     # -- health: flap damping to quarantine, decay to release --
     with obs.tracer.span("drill.health"):
         watchdog = FleetHealthWatchdog(obs=obs)
-        snapshot = mgr.snapshot()[OcsId(0)]
+        state = mgr.switch(OcsId(0)).state
         for n in range(links):
-            south = snapshot.south_of(n)
+            south = state.south_of(n)
             if south is not None:
                 watchdog.watch_circuit(0, n, south)
         for _ in range(3):  # 3 flaps: penalty 3000 > suppress 2500

@@ -18,7 +18,7 @@ the non-blocking OCS schedules new slices without disturbing running ones
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.crossconnect import CrossConnectMap
 from repro.core.errors import (
@@ -176,9 +176,13 @@ class Superpod:
         removals = [self.slice(sid) for sid in remove]
         removed_cubes = {c for t in removals for c in t.cube_ids}
         seen_new: Set[CubeId] = set()
+        seen_ids: Set[SliceId] = set()
         for topology in add:
-            if topology.slice_id in self._slices and topology.slice_id not in set(remove):
+            if topology.slice_id in seen_ids or (
+                topology.slice_id in self._slices and topology.slice_id not in set(remove)
+            ):
                 raise SchedulingError(f"slice {topology.slice_id} already configured")
+            seen_ids.add(topology.slice_id)
             for cube_id in topology.cube_ids:
                 if cube_id in seen_new:
                     raise SchedulingError(f"{cube_id} appears in two new slices")
@@ -255,7 +259,13 @@ class Superpod:
         add: Sequence[SliceTopology] = (),
         remove: Sequence[SliceTopology] = (),
     ) -> Dict[OcsId, CrossConnectMap]:
-        """Current state plus/minus slices' circuits, for all 48 OCSes."""
+        """Current state plus/minus slices' circuits, for all 48 OCSes.
+
+        OCSes of one dimension holding the same circuits share one target
+        map (planning only reads targets), so a healthy dimension builds
+        one.  An OCS that drifted from its dimension, e.g. after a driver
+        board failure, keeps its own state plus/minus the change.
+        """
         added: Dict[str, Set[Tuple[int, int]]] = {d: set() for d in DIMS}
         removed: Dict[str, Set[Tuple[int, int]]] = {d: set() for d in DIMS}
         for topo in add:
@@ -266,15 +276,17 @@ class Superpod:
                 removed[dim] |= circuits
         targets: Dict[OcsId, CrossConnectMap] = {}
         for dim in DIMS:
+            built: Dict[FrozenSet[Tuple[int, int]], CrossConnectMap] = {}
             for pos in range(FACE_PORTS):
                 oid = OcsId(ocs_index(dim, pos))
-                current = self.manager.switch(oid).state
-                circuits = set(current.circuits)
-                circuits -= removed[dim]
-                circuits |= added[dim]
-                targets[oid] = CrossConnectMap.from_circuits(
-                    PALOMAR_RADIX, dict(sorted(circuits))
-                )
+                current = self.manager.switch(oid).state.circuits
+                target = built.get(current)
+                if target is None:
+                    circuits = (current - removed[dim]) | added[dim]
+                    target = built[current] = CrossConnectMap.from_circuits(
+                        PALOMAR_RADIX, dict(sorted(circuits))
+                    )
+                targets[oid] = target
         return targets
 
     # ------------------------------------------------------------------ #

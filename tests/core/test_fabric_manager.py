@@ -129,12 +129,6 @@ class TestTransactions:
         assert mgr.stats.transactions == 1
         assert mgr.stats.circuits_made == 1
 
-    def test_snapshot_is_deep(self, mgr):
-        mgr.establish(LinkId("x"), OcsId(0), 0, 5)
-        snap = mgr.snapshot()
-        snap[OcsId(0)].disconnect(0)
-        assert mgr.switch(OcsId(0)).state.south_of(0) == 5
-
 
 class TestPartialTransactionRollback:
     @pytest.fixture
@@ -170,6 +164,30 @@ class TestPartialTransactionRollback:
             flaky_mgr.reconfigure(targets)
         assert exc.value.applied == ()
         assert exc.value.rolled_back  # vacuously restored
+        assert flaky_mgr.switch(OcsId(0)).state.south_of(0) == 4
+
+    def test_rollback_carries_on_past_a_failed_undo(self, flaky_mgr):
+        plans = flaky_mgr.plan(
+            {OcsId(i): CrossConnectMap.from_circuits(8, {0: 5}) for i in range(3)}
+        )
+        applied = [(oid, plans[oid]) for oid in sorted(plans)]
+        for oid, plan in applied:
+            flaky_mgr.apply_switch_plan(oid, plan)
+        flaky_mgr.switch(OcsId(1)).fail_next = True
+        assert not flaky_mgr.rollback(applied)
+        assert [flaky_mgr.switch(OcsId(i)).state.south_of(0) for i in range(3)] == [
+            4, 5, 4
+        ]
+        # The undo is neither counted as a reconfiguration nor traced.
+        assert flaky_mgr.stats.transactions == 3
+
+    def test_rollback_reports_a_switch_that_drifted(self, flaky_mgr):
+        plan = flaky_mgr.plan({OcsId(0): CrossConnectMap.from_circuits(8, {0: 5})})[
+            OcsId(0)
+        ]
+        flaky_mgr.apply_switch_plan(OcsId(0), plan)
+        flaky_mgr.switch(OcsId(0)).state.connect(1, 1)  # out-of-band circuit
+        assert not flaky_mgr.rollback([(OcsId(0), plan)])
         assert flaky_mgr.switch(OcsId(0)).state.south_of(0) == 4
 
     def test_chains_original_cause(self, flaky_mgr):

@@ -54,6 +54,20 @@ class SpySwitch:
         return duration
 
 
+class UndoFailsSwitch(SimpleSwitch):
+    """Programs its first plan, then raises on every later one (the undo)."""
+
+    def __init__(self, radix: int):
+        super().__init__(radix)
+        self.applies = 0
+
+    def apply_plan(self, plan) -> float:
+        self.applies += 1
+        if self.applies > 1:
+            raise RuntimeError("injected undo failure")
+        return super().apply_plan(plan)
+
+
 def make_manager(num_switches=1, spy=False):
     mgr = FabricManager()
     for i in range(num_switches):
@@ -206,6 +220,32 @@ class TestTransactions:
             LinkId("keep-a"),
             LinkId("keep-b"),
         }
+
+    def test_failed_undo_still_rolls_back_the_other_switches(self):
+        mgr = FabricManager()
+        mgr.add_switch(OcsId(0), SimpleSwitch(RADIX))
+        mgr.add_switch(OcsId(1), UndoFailsSwitch(RADIX))
+        mgr.add_switch(OcsId(2), SimpleSwitch(RADIX))
+        for i in range(3):
+            mgr.establish(LinkId(f"l{i}"), OcsId(i), 0, 4)
+        faults = ControlPlaneFaults()
+        faults.inject_rpc_timeouts(2, count=10)  # switch 2 never lands
+        txn = ResilientReconfigurer(
+            manager=mgr, policy=RetryPolicy(max_retries=1), faults=faults
+        )
+        targets = {
+            OcsId(i): CrossConnectMap.from_circuits(RADIX, {0: 5}) for i in range(3)
+        }
+        with pytest.raises(TransactionError) as err:
+            txn.reconfigure(targets)
+        assert not err.value.rolled_back
+        assert err.value.ocs_id == OcsId(2)
+        # Switch 1's undo raised; switch 0 is still restored, and the
+        # link table drops the record switch 1 no longer carries.
+        assert mgr.switch(OcsId(0)).state.south_of(0) == 4
+        assert mgr.switch(OcsId(1)).state.south_of(0) == 5
+        assert mgr.verify_links() == ()
+        assert {link.link_id for link in mgr.links} == {LinkId("l0"), LinkId("l2")}
 
     def test_mirror_stuck_blocks_only_touching_plans(self):
         mgr = make_manager()

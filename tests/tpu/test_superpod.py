@@ -102,6 +102,18 @@ class TestSliceConfiguration:
         assert (2, 3) in pod.circuits_for_dim("z")
         assert (0, 1) not in pod.circuits_for_dim("z")
 
+    def test_a_drifted_ocs_does_not_drag_its_dimension_along(self, pod):
+        # A lost circuit on one OCS (a failed driver board, say) must not
+        # be torn down on the other 15 OCSes of its dimension by an
+        # unrelated slice change, nor re-made on the drifted one.
+        pod.configure_slice(make_slice((1, 1, 2), [CubeId(0), CubeId(1)], "a"))
+        z0 = pod.manager.switch(OcsId(ocs_index("z", 0))).state
+        z1 = pod.manager.switch(OcsId(ocs_index("z", 1))).state
+        z0.disconnect(0)
+        pod.configure_slice(make_slice((1, 1, 2), [CubeId(4), CubeId(5)], "b"))
+        assert z1.circuits == {(0, 1), (1, 0), (4, 5), (5, 4)}
+        assert z0.circuits == {(1, 0), (4, 5), (5, 4)}
+
     def test_unknown_slice(self, pod):
         with pytest.raises(TopologyError):
             pod.release_slice(SliceId("ghost"))

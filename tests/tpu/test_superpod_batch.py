@@ -57,6 +57,16 @@ class TestApplyBatch:
         with pytest.raises(SchedulingError):
             pod.apply_batch(add=[topo("b", (1, 1, 1), [CubeId(0)])])
 
+    def test_batch_rejects_one_slice_id_twice(self, pod):
+        # Two new slices under one id would program both slices' circuits
+        # while the pod kept only the second.
+        a = topo("a", (1, 1, 1), [CubeId(0)])
+        a_again = topo("a", (1, 1, 1), [CubeId(1)], wrap=False)
+        with pytest.raises(SchedulingError):
+            pod.apply_batch(add=[a, a_again])
+        assert pod.slices() == ()
+        assert pod.total_circuits() == 0
+
     def test_batch_unknown_removal(self, pod):
         with pytest.raises(TopologyError):
             pod.apply_batch(remove=[SliceId("ghost")])
