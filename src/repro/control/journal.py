@@ -13,14 +13,15 @@ switch is touched**:
   each -- the record *is* the commit marker, so a crash between the
   append and the hardware apply rolls the op forward on recovery;
 - multi-OCS ``reconfigure`` is a transaction: a ``txn-begin`` record
-  carries the full targets *and* the pre-transaction state, per-switch
-  ``txn-apply`` records land as each switch is programmed, and a
-  ``txn-commit`` marker seals the batch.  Recovery rolls a transaction
-  **forward** when the commit marker is durable and **back** when it is
-  not: replay leaves an uncommitted transaction's targets out of the
-  intent, and recovery drives every switch to the replayed intent --
-  deterministically, whatever subset of switches the crash left
-  programmed.  Recovery never reads the ``pre`` field;
+  carries the full targets, per-switch ``txn-apply`` records land as
+  each switch is programmed, and a ``txn-commit`` marker seals the
+  batch.  Recovery rolls a transaction **forward** when the commit
+  marker is durable and **back** when it is not: replay leaves an
+  uncommitted transaction's targets out of the intent, and recovery
+  drives every switch to the replayed intent -- deterministically,
+  whatever subset of switches the crash left programmed.  No
+  pre-transaction state is journaled: the intent before ``txn-begin``
+  already is it;
 - ``checkpoint()`` snapshots the whole control plane into the log and
   compacts everything older.
 
@@ -299,7 +300,7 @@ class DurableController:
     ) -> float:
         """Journaled multi-OCS reconfiguration.
 
-        ``txn-begin`` (targets + pre-state) -> per-switch apply +
+        ``txn-begin`` (targets) -> per-switch apply +
         ``txn-commit``.  A crash at any point recovers
         deterministically: forward past the commit marker, back before
         it.  The token (if any) rides on ``txn-begin`` but is only
@@ -315,12 +316,6 @@ class DurableController:
             "targets": {
                 str(ocs_id.index): _circuits_payload(
                     dict(targets[ocs_id].circuits)
-                )
-                for ocs_id in order
-            },
-            "pre": {
-                str(ocs_id.index): _circuits_payload(
-                    dict(self.manager.switch(ocs_id).state.circuits)
                 )
                 for ocs_id in order
             },

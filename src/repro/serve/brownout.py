@@ -27,35 +27,34 @@ from repro.core.errors import ConfigurationError
 from repro.obs import NULL_OBS, Observability
 
 
+#: Queue occupancy at which the ladder enters / leaves level 1 and
+#: level 2.  Each exit sits strictly below its entry (hysteresis), and
+#: ``ENTER_1 <= ENTER_2``, ``EXIT_1 <= EXIT_2``.
+ENTER_1 = 0.5
+EXIT_1 = 0.3
+ENTER_2 = 0.8
+EXIT_2 = 0.6
+
+
 @dataclass
 class BrownoutController:
     """Hysteresis ladder from queue occupancy to a degradation level.
 
+    The thresholds are the module's ``ENTER_*`` / ``EXIT_*`` constants;
+    an open circuit breaker also forces level 2 (the controller is
+    unreachable -- coalesce and serve from cache).
+
     Args:
-        enter_1 / exit_1: occupancy to enter / leave level 1.
-        enter_2 / exit_2: occupancy to enter / leave level 2; an open
-            circuit breaker also forces level 2 (the controller is
-            unreachable -- coalesce and serve from cache).
-        pinned_level: freeze the controller at one level (the perf
-            harness compares pinned level-2 vs pinned level-0 service).
+        pinned_level: freeze the controller at one level (the twin
+            prices a pinned-level policy against adaptive brownout).
     """
 
-    enter_1: float = 0.5
-    exit_1: float = 0.3
-    enter_2: float = 0.8
-    exit_2: float = 0.6
     pinned_level: Optional[int] = None
     obs: Optional[Observability] = field(default=None, repr=False)
     _level: int = field(init=False, default=0)
     _transitions: List[Tuple[float, int]] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.exit_1 < self.enter_1 <= 1.0:
-            raise ConfigurationError("need 0 <= exit_1 < enter_1 <= 1")
-        if not self.exit_1 <= self.exit_2 < self.enter_2 <= 1.0:
-            raise ConfigurationError("need exit_1 <= exit_2 < enter_2 <= 1")
-        if self.enter_1 > self.enter_2:
-            raise ConfigurationError("enter_1 must not exceed enter_2")
         if self.pinned_level is not None:
             if self.pinned_level not in (0, 1, 2):
                 raise ConfigurationError("pinned_level must be 0, 1, or 2")
@@ -72,16 +71,16 @@ class BrownoutController:
         if self.pinned_level is not None:
             return self._level
         level = self._level
-        if breaker_open or occupancy >= self.enter_2:
+        if breaker_open or occupancy >= ENTER_2:
             level = 2
-        elif level == 0 and occupancy >= self.enter_1:
+        elif level == 0 and occupancy >= ENTER_1:
             level = 1
         elif level == 2:
-            if occupancy <= self.exit_1:
+            if occupancy <= EXIT_1:
                 level = 0
-            elif occupancy <= self.exit_2:
+            elif occupancy <= EXIT_2:
                 level = 1
-        elif level == 1 and occupancy <= self.exit_1:
+        elif level == 1 and occupancy <= EXIT_1:
             level = 0
         if level != self._level:
             self._level = level

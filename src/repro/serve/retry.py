@@ -18,7 +18,8 @@ Since the pool starts empty and never goes negative::
 so :attr:`RetryBudget.amplification_cap` ``= 1 + retry_ratio`` is a
 *proof*, not a tuning goal -- it holds for any fault timeline, which is
 exactly what the Hypothesis property in ``tests/serve`` asserts.  Per
-request, attempts are additionally clamped to ``max_attempts``.
+request, the service additionally clamps attempts to
+:data:`repro.serve.service.MAX_ATTEMPTS`.
 
 Backoff delays come from :class:`repro.faults.resilience.RetryPolicy`
 (exponential + seeded jitter), reused so the serving layer and the
@@ -41,13 +42,11 @@ class RetryBudget:
     Args:
         retry_ratio: tokens deposited per request entering service; the
             system-wide amplification cap is ``1 + retry_ratio``.
-        max_attempts: per-request attempt clamp (first try included).
         pool_cap: ceiling on banked tokens, so a long quiet period
             cannot fund an unbounded later burst of retries.
     """
 
     retry_ratio: float = 0.5
-    max_attempts: int = 4
     pool_cap: float = 50.0
     obs: Optional[Observability] = field(default=None, repr=False)
     _tokens: float = field(init=False, default=0.0)
@@ -58,8 +57,6 @@ class RetryBudget:
     def __post_init__(self) -> None:
         if not 0.0 <= self.retry_ratio <= 1.0:
             raise ConfigurationError("retry_ratio must be in [0, 1]")
-        if self.max_attempts < 1:
-            raise ConfigurationError("max_attempts must be at least 1")
         if self.pool_cap < 1.0:
             raise ConfigurationError("pool_cap must be at least 1")
         if self.obs is None:

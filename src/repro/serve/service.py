@@ -101,18 +101,49 @@ from repro.serve.sink import (
 )
 
 
+#: Deterministic service times (ms of simulated server occupancy), per
+#: kind; capacity is their admission-weighted mean.
+TELEMETRY_FRESH_MS = 2.0
+TELEMETRY_CACHED_MS = 0.2
+TRAFFIC_UPDATE_MS = 2.5
+RECONFIGURE_MS = 3.0
+SLICE_ALLOC_MS = 5.0
+SLICE_RELEASE_MS = 2.0
+NOOP_MS = 0.5
+BATCH_MEMBER_MS = 0.3
+BATCH_FLUSH_MS = 4.0
+RPC_TIMEOUT_MS = 25.0
+MAINTENANCE_MS = 6.0
+
+#: Brownout coalescing: a batch flushes this long after its first
+#: member arrives, or at once when it holds this many updates.
+BATCH_WINDOW_S = 0.2
+BATCH_MAX_UPDATES = 32
+#: Background maintenance tick, and the telemetry cache's staleness bound.
+MAINTENANCE_INTERVAL_S = 5.0
+TELEMETRY_TTL_S = 0.5
+
+#: Ports on the dedicated slice OCS.
+SLICE_RADIX = 64
+
+#: Per-request attempt clamp (first try included), on top of the
+#: shared :class:`~repro.serve.retry.RetryBudget`.
+MAX_ATTEMPTS = 4
+
+
 @dataclass(frozen=True)
 class ServeConfig:
-    """Everything that shapes the serving layer's behavior.
+    """The serving layer's settings that callers set.
 
-    Service times are deterministic per kind (milliseconds of simulated
-    server occupancy); capacity is their admission-weighted mean.
+    Everything else is a module constant: the service times, batch,
+    maintenance and telemetry-TTL values, the slice radix and the
+    attempt clamp here in :mod:`repro.serve.service`, and the brownout
+    ladder's thresholds in :mod:`repro.serve.brownout`.
     """
 
     # Fabric shape.
     num_traffic_ocses: int = 4
     num_tenants: int = 256
-    slice_radix: int = 64
     allocator_cubes: int = 64
 
     # Admission (requests per simulated second).
@@ -126,35 +157,11 @@ class ServeConfig:
 
     # Retry budget / breaker.
     retry_ratio: float = 0.5
-    max_attempts: int = 4
     breaker_threshold: int = 5
     breaker_cooldown_s: float = 0.5
 
-    # Brownout ladder.
-    brownout_enter_1: float = 0.5
-    brownout_exit_1: float = 0.3
-    brownout_enter_2: float = 0.8
-    brownout_exit_2: float = 0.6
+    # Freeze the brownout ladder at one level (None = adaptive).
     pinned_brownout: Optional[int] = None
-
-    # Deterministic service times (ms).
-    telemetry_fresh_ms: float = 2.0
-    telemetry_cached_ms: float = 0.2
-    traffic_update_ms: float = 2.5
-    reconfigure_ms: float = 3.0
-    slice_alloc_ms: float = 5.0
-    slice_release_ms: float = 2.0
-    noop_ms: float = 0.5
-    batch_member_ms: float = 0.3
-    batch_flush_ms: float = 4.0
-    rpc_timeout_ms: float = 25.0
-    maintenance_ms: float = 6.0
-
-    # Coalescing / maintenance / telemetry cache.
-    batch_window_s: float = 0.2
-    batch_max_updates: int = 32
-    maintenance_interval_s: float = 5.0
-    telemetry_ttl_s: float = 0.5
 
     # Replicated control plane.  1 = a single controller on the delta
     # commit plane; >= 3 routes every mutation through a lease-held,
@@ -173,14 +180,8 @@ class ServeConfig:
                 f"traffic radix {self.traffic_radix} unreasonably large; "
                 "add traffic OCSes instead"
             )
-        if self.slice_radix < 1:
-            raise ConfigurationError("slice OCS needs at least one port")
         if self.queue_capacity < 1:
             raise ConfigurationError("queue capacity must be positive")
-        if self.batch_window_s <= 0 or self.batch_max_updates < 1:
-            raise ConfigurationError("batch window and size must be positive")
-        if self.maintenance_interval_s <= 0 or self.telemetry_ttl_s <= 0:
-            raise ConfigurationError("maintenance interval and ttl must be positive")
         if (
             self.global_rate_per_s <= 0
             or self.global_burst < 1
@@ -197,14 +198,6 @@ class ServeConfig:
             )
         if self.replica_lease_s <= 0:
             raise ConfigurationError("replica lease must be positive")
-        for name in (
-            "telemetry_fresh_ms", "telemetry_cached_ms", "traffic_update_ms",
-            "reconfigure_ms", "slice_alloc_ms", "slice_release_ms", "noop_ms",
-            "batch_member_ms", "batch_flush_ms", "rpc_timeout_ms",
-            "maintenance_ms",
-        ):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
 
     @property
     def tenants_per_ocs(self) -> int:
@@ -244,7 +237,7 @@ def build_serve_manager(
     manager = FabricManager(obs=obs)
     for i in range(config.num_traffic_ocses):
         manager.add_switch(OcsId(i), SimpleSwitch(config.traffic_radix))
-    manager.add_switch(config.slice_ocs, SimpleSwitch(config.slice_radix))
+    manager.add_switch(config.slice_ocs, SimpleSwitch(SLICE_RADIX))
     for t in range(config.num_tenants):
         ocs, north = config.tenant_circuit(f"t-{t:03d}")
         manager.switch(ocs).state.connect(north, config.south_for_bank(north, 0))
@@ -484,23 +477,14 @@ class FabricService:
             obs=self.obs,
         )
         self.brownout = BrownoutController(
-            enter_1=config.brownout_enter_1,
-            exit_1=config.brownout_exit_1,
-            enter_2=config.brownout_enter_2,
-            exit_2=config.brownout_exit_2,
-            pinned_level=config.pinned_brownout,
-            obs=self.obs,
+            pinned_level=config.pinned_brownout, obs=self.obs
         )
-        self.budget = RetryBudget(
-            retry_ratio=config.retry_ratio,
-            max_attempts=config.max_attempts,
-            obs=self.obs,
-        )
+        self.budget = RetryBudget(retry_ratio=config.retry_ratio, obs=self.obs)
         self._cubes = _CubeLedger(config.allocator_cubes)
         # Slice circuits are always port<->port on the slice OCS, so the
         # lowest doubly-free port is the min of this heap (range() is
         # ascending, hence already a valid min-heap).
-        self._free_ports = list(range(config.slice_radix))
+        self._free_ports = list(range(SLICE_RADIX))
         self._retry_policy = RetryPolicy()
         self._rng = np.random.default_rng(config.seed)
 
@@ -733,7 +717,7 @@ class FabricService:
         attempts = 0
         detail = ""
         work_s = work_ms / 1e3
-        rpc_timeout_s = self.config.rpc_timeout_ms / 1e3
+        rpc_timeout_s = RPC_TIMEOUT_MS / 1e3
         while True:
             if t + work_s > deadline_s:
                 return Outcome.TIMEOUT, t, attempts, detail or "deadline"
@@ -759,7 +743,7 @@ class FabricService:
             detail = failure
             self.breaker.record_failure(t)
             t += rpc_timeout_s
-            if attempts >= self.budget.max_attempts:
+            if attempts >= MAX_ATTEMPTS:
                 return Outcome.ERROR, t, attempts, "retries-exhausted"
             if not self.budget.try_spend():
                 return Outcome.ERROR, t, attempts, "retry-budget"
@@ -801,9 +785,9 @@ class FabricService:
     def _dispatch_retarget(self, request: TenantRequest, t: float) -> float:
         ocs, north, south = self._retarget_target(request)
         work_ms = (
-            self.config.reconfigure_ms
+            RECONFIGURE_MS
             if request.kind is RequestKind.RECONFIGURE
-            else self.config.traffic_update_ms
+            else TRAFFIC_UPDATE_MS
         )
         self.budget.deposit()
 
@@ -831,7 +815,7 @@ class FabricService:
         )
         port = self._free_ports[0] if self._free_ports else None
         if port is None or self._cubes.try_allocate(job) is None:
-            t_end = t + self.config.noop_ms / 1e3
+            t_end = t + NOOP_MS / 1e3
             self._record(request, Outcome.ERROR, t_end, detail="capacity")
             return t_end
         self.budget.deposit()
@@ -854,7 +838,7 @@ class FabricService:
             )
 
         outcome, t_end, attempts, detail = self._run_attempts(
-            t, request.deadline_s, self.config.slice_alloc_ms, apply
+            t, request.deadline_s, SLICE_ALLOC_MS, apply
         )
         if outcome is not Outcome.OK:
             # The cube reservation never committed downstream; give it back.
@@ -868,7 +852,7 @@ class FabricService:
         if held is None:
             # Alloc was rejected/shed/timed out (or already released):
             # releasing nothing is success, explicitly.
-            t_end = t + self.config.noop_ms / 1e3
+            t_end = t + NOOP_MS / 1e3
             self._record(request, Outcome.OK, t_end, detail="noop")
             return t_end
         job, port = held
@@ -886,7 +870,7 @@ class FabricService:
             )
 
         outcome, t_end, attempts, detail = self._run_attempts(
-            t, request.deadline_s, self.config.slice_release_ms, apply
+            t, request.deadline_s, SLICE_RELEASE_MS, apply
         )
         self._record(request, outcome, t_end, attempts=attempts, detail=detail)
         return t_end
@@ -896,17 +880,17 @@ class FabricService:
         if (
             self.brownout.serve_cached_telemetry
             and cached is not None
-            and t - cached[1] <= self.config.telemetry_ttl_s
+            and t - cached[1] <= TELEMETRY_TTL_S
         ):
             self._cache_hits += 1
             self._telemetry_hit_counter.inc()
-            t_end = t + self.config.telemetry_cached_ms / 1e3
+            t_end = t + TELEMETRY_CACHED_MS / 1e3
             self._record(request, Outcome.OK, t_end, detail="cached")
             return t_end
         self._telemetry_cache = (self.manager.state_digest(), t)
         self._cache_misses += 1
         self._telemetry_miss_counter.inc()
-        t_end = t + self.config.telemetry_fresh_ms / 1e3
+        t_end = t + TELEMETRY_FRESH_MS / 1e3
         self._record(request, Outcome.OK, t_end, detail="fresh")
         return t_end
 
@@ -916,10 +900,10 @@ class FabricService:
 
     def _enqueue_batch_member(self, request: TenantRequest, t: float) -> float:
         if not self._batch:
-            self._batch_due_s = t + self.config.batch_window_s
+            self._batch_due_s = t + BATCH_WINDOW_S
         self._batch.append(request)
-        t_end = t + self.config.batch_member_ms / 1e3
-        if len(self._batch) >= self.config.batch_max_updates:
+        t_end = t + BATCH_MEMBER_MS / 1e3
+        if len(self._batch) >= BATCH_MAX_UPDATES:
             t_end = self._flush_batch(t_end)
         return t_end
 
@@ -931,7 +915,7 @@ class FabricService:
         self._batch = []
         self._batch_seq += 1
         token = f"batch-{self._batch_seq:05d}"
-        flush_s = self.config.batch_flush_ms / 1e3
+        flush_s = BATCH_FLUSH_MS / 1e3
         for _ in members:  # every member enters service here
             self.budget.deposit()
         attempts = 0
@@ -987,8 +971,8 @@ class FabricService:
                     self._batch_size_hist.observe(float(len(members)))
                     return t_end
             self.breaker.record_failure(t)
-            t += self.config.rpc_timeout_ms / 1e3
-            if attempts >= self.budget.max_attempts:
+            t += RPC_TIMEOUT_MS / 1e3
+            if attempts >= MAX_ATTEMPTS:
                 for m in members:
                     self._record(
                         m, Outcome.ERROR, t, attempts=attempts,
@@ -1039,13 +1023,12 @@ class FabricService:
 
         INF = math.inf
         queue = self.queue
-        maintenance_interval_s = self.config.maintenance_interval_s
         stream = iter(requests)
         next_request = next(stream, None)
         with self.obs.tracer.span("serve.run") as span:
             now = 0.0
             server_free = 0.0
-            next_maintenance = maintenance_interval_s
+            next_maintenance = MAINTENANCE_INTERVAL_S
             # The event calendar, as scalars.  Four candidate events --
             # arrival (0), batch flush (1), maintenance (2), serve (3)
             # -- ordered by (time, index); absent events sit at +inf and
@@ -1095,7 +1078,7 @@ class FabricService:
                     advance(start)
                     server_free = self._flush_batch(start)
                 elif what == 2:
-                    next_maintenance += maintenance_interval_s
+                    next_maintenance += MAINTENANCE_INTERVAL_S
                     if self.brownout.defer_maintenance or not self._maintain(when):
                         self._maintenance_deferred += 1
                         self._maint_deferred_counter.inc()
@@ -1103,7 +1086,7 @@ class FabricService:
                         self._maintenance_runs += 1
                         self._maint_runs_counter.inc()
                         server_free = (
-                            max(when, server_free) + self.config.maintenance_ms / 1e3
+                            max(when, server_free) + MAINTENANCE_MS / 1e3
                         )
                 else:
                     start = max(when, server_free)
@@ -1221,7 +1204,7 @@ def replay_committed(config: ServeConfig, commit_log: Sequence[CommitEntry]) -> 
             expected = next(
                 (
                     p
-                    for p in range(config.slice_radix)
+                    for p in range(SLICE_RADIX)
                     if state.south_of(p) is None and state.north_of(p) is None
                 ),
                 None,

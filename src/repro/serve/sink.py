@@ -32,11 +32,11 @@ second terminal for the same request.
 from __future__ import annotations
 
 import hashlib
-import heapq
 from array import array
+from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Deque, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -267,31 +267,36 @@ class StreamAggregates:
 class StreamingRecordSink:
     """Flat-memory aggregation of an arbitrarily long outcome stream.
 
-    Requires workload-assigned seqs: every offered request must carry a
-    unique ``seq >= 0`` (the :class:`~repro.serve.workload.ServeWorkload`
-    contract), because the incremental digest orders by seq.  ``seed``
-    is accepted and unused: the sink draws no randomness.
+    Requires workload-assigned seqs ``>= 0``, offered in strictly
+    increasing order (the :class:`~repro.serve.workload.ServeWorkload`
+    contract, and arrival order in :meth:`FabricService.run`), because
+    the incremental digest orders by seq; the offered-but-unflushed seqs
+    are then a FIFO.  ``seed`` is accepted and unused: the sink draws no
+    randomness.
     """
 
     def __init__(self, seed: int = 0) -> None:
         del seed
         self._hash = hashlib.sha256()
-        self._frontier: List[int] = []  # offered seqs, min-heap
+        self._frontier: Deque[int] = deque()  # offered, unflushed seqs
         self._pending: Dict[int, bytes] = {}  # decided, awaiting flush
         self._counts: Dict[Outcome, int] = {o: 0 for o in Outcome}
         self._hists: Dict[Outcome, Histogram] = {}
         self._shed_count = 0
         self._total = 0
+        self._last_offered = -1
         self.peak_pending = 0
 
     def offered(self, request: TenantRequest) -> None:
         seq = request.seq
-        if seq < 0:
+        if seq <= self._last_offered:
             raise ServeError(
-                "streaming sink needs workload-assigned seqs "
-                f"(request {request.request_id} has seq {seq})"
+                "streaming sink needs workload-assigned, increasing seqs "
+                f"(request {request.request_id} has seq {seq} after "
+                f"{self._last_offered})"
             )
-        heapq.heappush(self._frontier, seq)
+        self._last_offered = seq
+        self._frontier.append(seq)
 
     def record(self, record: RequestRecord) -> None:
         seq = record.request.seq
@@ -321,13 +326,13 @@ class StreamingRecordSink:
             0.0, (record.finish_s - record.request.arrival_s) * 1e3
         )
         hist.observe(latency_ms)
-        # Flush the contiguous decided prefix: every seq smaller than the
-        # frontier minimum is already hashed, so whenever the minimum
-        # itself is decided it (and any decided successors) can go.
+        # Flush the contiguous decided prefix: every seq older than the
+        # frontier's head is already hashed, so whenever the head itself
+        # is decided it (and any decided successors) can go.
         frontier = self._frontier
         update = self._hash.update
         while frontier and frontier[0] in pending:
-            update(pending.pop(heapq.heappop(frontier)))
+            update(pending.pop(frontier.popleft()))
 
     def shed(self, shed: ShedRecord) -> None:
         del shed  # streaming mode keeps the count, not the objects

@@ -8,11 +8,12 @@ A torus edge "cube A +d -> cube B -d" is then the circuit
 ``N[A] -> S[B]`` on each of the 16 OCSes of dimension ``d`` -- including
 the self-loop ``N[A] -> S[A]`` that closes a dimension of extent one.
 
-Because the 16 OCSes of a dimension carry identical cube-level patterns,
-slice configuration builds one target cross-connect per dimension and
-replicates it.  Slices over disjoint cube sets touch disjoint ports, so
-the non-blocking OCS schedules new slices without disturbing running ones
-(§4.2.4).
+The 16 OCSes of a dimension carry identical cube-level patterns until
+hardware drifts (a failed driver board drops one OCS's circuits), so
+slice configuration builds one target cross-connect per distinct
+pattern in a dimension -- one, on a healthy pod -- and shares it.
+Slices over disjoint cube sets touch disjoint ports, so the non-blocking
+OCS schedules new slices without disturbing running ones (§4.2.4).
 """
 
 from __future__ import annotations
@@ -343,9 +344,24 @@ class Superpod:
         return g
 
     def circuits_for_dim(self, dim: str) -> Set[Tuple[int, int]]:
-        """Cube-level circuits currently programmed for ``dim``."""
-        oid = OcsId(ocs_index(dim, 0))
-        return set(self.manager.switch(oid).state.circuits)
+        """Cube-level circuits currently programmed for ``dim``.
+
+        Raises :class:`TopologyError` when the dimension's OCSes have
+        drifted apart (no one set of circuits describes it then), naming
+        the face positions that differ from the most common pattern.
+        """
+        positions: Dict[FrozenSet[Tuple[int, int]], List[int]] = {}
+        for pos in range(FACE_PORTS):
+            circuits = self.manager.switch(OcsId(ocs_index(dim, pos))).state.circuits
+            positions.setdefault(circuits, []).append(pos)
+        common = max(positions, key=lambda c: len(positions[c]))
+        if len(positions) > 1:
+            drifted = sorted(set(range(FACE_PORTS)) - set(positions[common]))
+            raise TopologyError(
+                f"dimension {dim} has drifted: face positions {drifted} "
+                "differ from the others"
+            )
+        return set(common)
 
     def total_circuits(self) -> int:
         return self.manager.num_circuits

@@ -3,9 +3,10 @@ examples run.
 
 The examples guard their ``main()`` behind ``__name__``, so importing a
 module executes only its setup code -- a fast check that the public API
-surface every example exercises still exists.  The serving, failover and
-twin examples also run end to end as subprocesses, because they drive
-the drill runner with arguments no other test passes.
+surface every example exercises still exists.  The serving, failover,
+twin, chaos and controller-crash examples also run end to end as
+subprocesses, because they drive their drills with arguments no other
+test passes; this is the one place the examples run.
 """
 
 import importlib.util
@@ -47,17 +48,23 @@ class TestObservatoryRuns:
         assert "SLOs" in out
 
 
-#: The examples that run end to end: (script, arguments), by test id.
+#: The examples that run end to end: (script, arguments, timeout in
+#: seconds), by test id.  The chaos and controller-crash drills are the
+#: CI-sized ones, held to 30 s.
 DRILL_RUNS = {
-    "serving_drill": ("serving_drill.py", ()),
-    "failover_drill": ("failover_drill.py", ()),
-    "failover_drill_2048_tenants": ("failover_drill.py", ("--tenants", "2048")),
-    "twin_operations": ("twin_operations.py", ()),
+    "serving_drill": ("serving_drill.py", (), 120),
+    "failover_drill": ("failover_drill.py", (), 120),
+    "failover_drill_2048_tenants": ("failover_drill.py", ("--tenants", "2048"), 120),
+    "twin_operations": ("twin_operations.py", (), 120),
+    "chaos_drill_smoke": ("chaos_drill.py", ("--smoke",), 30),
+    "controller_crash_drill": ("controller_crash_drill.py", (), 30),
 }
 
 
-@pytest.mark.parametrize("script,args", DRILL_RUNS.values(), ids=DRILL_RUNS.keys())
-def test_drill_example_runs(script, args):
+@pytest.mark.parametrize(
+    "script,args,timeout_s", DRILL_RUNS.values(), ids=DRILL_RUNS.keys()
+)
+def test_drill_example_runs(script, args, timeout_s):
     src = str(EXAMPLES_DIR.parent / "src")
     env = {
         **os.environ,
@@ -65,7 +72,7 @@ def test_drill_example_runs(script, args):
     }
     proc = subprocess.run(
         [sys.executable, str(EXAMPLES_DIR / script), *args],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, capture_output=True, text=True, timeout=timeout_s,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

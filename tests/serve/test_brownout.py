@@ -6,37 +6,33 @@ from repro.core.errors import ConfigurationError
 from repro.serve.brownout import BrownoutController
 
 
-def build() -> BrownoutController:
-    return BrownoutController(enter_1=0.5, exit_1=0.3, enter_2=0.8, exit_2=0.6)
-
-
 class TestBrownoutController:
     def test_ladder_up_and_down_with_hysteresis(self):
-        ctl = build()
+        ctl = BrownoutController()
         assert ctl.observe(0.4, False, 0.0) == 0
         assert ctl.observe(0.5, False, 1.0) == 1
-        # Between exit_1 and enter_1: stays at 1 (hysteresis band).
+        # Between EXIT_1 and ENTER_1: stays at 1 (hysteresis band).
         assert ctl.observe(0.4, False, 2.0) == 1
         assert ctl.observe(0.8, False, 3.0) == 2
-        # Between exit_2 and enter_2: stays at 2.
+        # Between EXIT_2 and ENTER_2: stays at 2.
         assert ctl.observe(0.7, False, 4.0) == 2
         assert ctl.observe(0.6, False, 5.0) == 1
         assert ctl.observe(0.3, False, 6.0) == 0
 
     def test_deep_brownout_exits_straight_to_normal_when_quiet(self):
-        ctl = build()
+        ctl = BrownoutController()
         ctl.observe(0.9, False, 0.0)
         assert ctl.observe(0.1, False, 1.0) == 0
 
     def test_breaker_open_forces_level_2(self):
-        ctl = build()
+        ctl = BrownoutController()
         assert ctl.observe(0.0, True, 0.0) == 2
         assert ctl.serve_cached_telemetry
         # Breaker closes, occupancy quiet: ladder walks back down.
         assert ctl.observe(0.0, False, 1.0) == 0
 
     def test_level_semantics(self):
-        ctl = build()
+        ctl = BrownoutController()
         assert not ctl.defer_maintenance and not ctl.coalesce_updates
         ctl.observe(0.5, False, 0.0)
         assert ctl.defer_maintenance and ctl.coalesce_updates
@@ -45,7 +41,7 @@ class TestBrownoutController:
         assert ctl.serve_cached_telemetry
 
     def test_transitions_recorded_with_timestamps(self):
-        ctl = build()
+        ctl = BrownoutController()
         ctl.observe(0.6, False, 1.5)
         ctl.observe(0.9, False, 2.5)
         ctl.observe(0.0, False, 3.5)
@@ -57,15 +53,7 @@ class TestBrownoutController:
         assert ctl.observe(1.0, True, 1.0) == 2
         assert ctl.transitions == ()
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"enter_1": 0.3, "exit_1": 0.5},            # exit above entry
-            {"enter_2": 0.4, "exit_2": 0.5},            # exit above entry
-            {"enter_1": 0.9, "enter_2": 0.8, "exit_2": 0.7},  # crossed ladder
-            {"pinned_level": 3},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"pinned_level": 3}])
     def test_invalid_config(self, kwargs):
         with pytest.raises(ConfigurationError):
             BrownoutController(**kwargs)

@@ -57,6 +57,7 @@ from repro.serve.requests import (
     outcomes_digest,
 )
 from repro.serve.service import (
+    BATCH_MAX_UPDATES,
     CommitEntry,
     FabricService,
     ServeConfig,
@@ -415,10 +416,26 @@ def test_streaming_sink_matches_full_records_and_stays_flat():
         # Flat memory: the reorder window is bounded by in-flight work
         # (bounded queue, coalescing batch, retry/timeout windows), never
         # by the offered total.
-        bound = 3 * (
-            service.config.queue_capacity + service.config.batch_max_updates
-        )
+        bound = 3 * (service.config.queue_capacity + BATCH_MAX_UPDATES)
         assert 0 < aggregates.peak_pending <= bound
+
+
+@pytest.mark.parametrize(
+    "second", [0, 4, -1], ids=["repeated", "decreasing", "unassigned"]
+)
+def test_streaming_sink_refuses_a_seq_that_does_not_increase(second):
+    """The sink's frontier is a FIFO of offered seqs, which is in seq
+    order only while offers arrive in increasing seq."""
+
+    def request(seq: int) -> TenantRequest:
+        return TenantRequest(f"r{seq}", "t-000", RequestKind.TELEMETRY_QUERY,
+                             0.0, 1.0, seq=seq)
+
+    sink = StreamingRecordSink()
+    sink.offered(request(0))
+    sink.offered(request(5))
+    with pytest.raises(ServeError, match="increasing seqs"):
+        sink.offered(request(second))
 
 
 @settings(max_examples=10, deadline=None)
@@ -466,7 +483,7 @@ def test_peak_pending_saturates_independent_of_request_count():
         report = FabricService(config, sink=sink).run(requests)
         peaks[n] = report.aggregates.peak_pending
     assert peaks[600] == peaks[1_200] == peaks[2_400]
-    assert peaks[2_400] <= 3 * (config.queue_capacity + config.batch_max_updates)
+    assert peaks[2_400] <= 3 * (config.queue_capacity + BATCH_MAX_UPDATES)
 
 
 def test_streaming_drill_matches_full_record_drill():

@@ -61,7 +61,6 @@ class TestRetryBudget:
         [
             {"retry_ratio": -0.1},
             {"retry_ratio": 1.5},
-            {"max_attempts": 0},
             {"pool_cap": 0.5},
         ],
     )

@@ -5,7 +5,12 @@ import pytest
 from repro.faults.events import FaultKind, controller_target
 from repro.faults.injector import FaultInjector
 from repro.serve.requests import ADMITTED_OUTCOMES, Outcome, RequestKind
-from repro.serve.service import FabricService, ServeConfig, replay_committed
+from repro.serve.service import (
+    MAX_ATTEMPTS,
+    FabricService,
+    ServeConfig,
+    replay_committed,
+)
 from repro.serve.workload import ServeWorkload
 
 
@@ -129,7 +134,7 @@ class TestOverloadBehaviors:
         # A breaker-open verdict can follow attempts made before the
         # trip, but the steady state is a pure fast fail: zero launched.
         assert any(r.attempts == 0 for r in fast_failed)
-        assert all(r.attempts < config.max_attempts for r in fast_failed)
+        assert all(r.attempts < MAX_ATTEMPTS for r in fast_failed)
         # With the controller down only local work can succeed:
         # read-only telemetry and no-op releases.  No mutation commits.
         for r in report.records:
@@ -243,7 +248,6 @@ class TestConfigValidation:
             {"num_tenants": 0},
             {"queue_capacity": 0},
             {"global_rate_per_s": 0.0},
-            {"rpc_timeout_ms": 0.0},
         ],
     )
     def test_invalid_config(self, kwargs):

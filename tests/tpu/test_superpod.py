@@ -114,6 +114,15 @@ class TestSliceConfiguration:
         assert z1.circuits == {(0, 1), (1, 0), (4, 5), (5, 4)}
         assert z0.circuits == {(1, 0), (4, 5), (5, 4)}
 
+    def test_a_drifted_dimension_is_reported_not_summarised(self, pod):
+        # One OCS of z loses a circuit: no one set of circuits describes
+        # z any more, while the untouched y still answers.
+        pod.configure_slice(make_slice((1, 1, 2), [CubeId(0), CubeId(1)], "a"))
+        pod.manager.switch(OcsId(ocs_index("z", 0))).state.disconnect(0)
+        with pytest.raises(TopologyError, match=r"z has drifted: face positions \[0\]"):
+            pod.circuits_for_dim("z")
+        assert pod.circuits_for_dim("y") == {(0, 0), (1, 1)}
+
     def test_unknown_slice(self, pod):
         with pytest.raises(TopologyError):
             pod.release_slice(SliceId("ghost"))
